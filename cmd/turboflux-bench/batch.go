@@ -12,9 +12,9 @@ import (
 )
 
 // batchRow is one (batch size, workers) cell of the batch-evaluation
-// grid. Batch size 1 is the per-update baseline: ApplyBatch delegates a
-// singleton batch straight to the Apply path, so the row measures the
-// legacy pipeline on exactly the same stream.
+// grid. Batch size 1 is the per-update baseline: every update is a run
+// of its own through the same routed executor, on exactly the same
+// stream.
 type batchRow struct {
 	BatchSize int `json:"batch_size"`
 	Workers   int `json:"workers"`

@@ -21,9 +21,6 @@ type DurableOptions struct {
 	// SegmentSize rotates the log once the active segment reaches this
 	// many bytes (default 4 MiB).
 	SegmentSize int64
-	// ReplayBatch sets how many WAL-tail records recovery applies per
-	// batched pass (default 1024; 1 selects the record-at-a-time path).
-	ReplayBatch int
 
 	// VertexLabels / EdgeLabels, when non-nil, become the engine's label
 	// dictionaries. On a fresh store they are adopted as-is; on recovery
@@ -73,59 +70,78 @@ type DurableEngine struct {
 // data graph from its newest valid snapshot plus the journaled tail, and
 // builds a matching engine for q over the recovered graph.
 func OpenDurable(dir string, q *Query, opt DurableOptions) (*DurableEngine, error) {
-	pol, err := durable.ParsePolicy(opt.Fsync)
-	if err != nil {
-		return nil, err
-	}
-	st, err := durable.Open(dir, durable.Options{
-		Fsync:        pol,
-		FsyncEvery:   opt.FsyncInterval,
-		SegmentSize:  opt.SegmentSize,
-		ReplayBatch:  opt.ReplayBatch,
-		VertexLabels: opt.VertexLabels,
-		EdgeLabels:   opt.EdgeLabels,
+	st, rec, err := openStore(dir, DurableMultiOptions{
+		Fsync:         opt.Fsync,
+		FsyncInterval: opt.FsyncInterval,
+		SegmentSize:   opt.SegmentSize,
+		VertexLabels:  opt.VertexLabels,
+		EdgeLabels:    opt.EdgeLabels,
+		Bootstrap:     opt.Bootstrap,
 	})
 	if err != nil {
 		return nil, err
 	}
-	vd, err := adoptDict(opt.VertexLabels, st.VertexLabels(), "vertex")
-	if err != nil {
-		st.Close() //tf:unchecked-ok already failing
-		return nil, err
-	}
-	ed, err := adoptDict(opt.EdgeLabels, st.EdgeLabels(), "edge")
-	if err != nil {
-		st.Close() //tf:unchecked-ok already failing
-		return nil, err
-	}
-	st.SetDicts(vd, ed)
-
-	if st.Recovery().Fresh {
-		for _, u := range opt.Bootstrap {
-			if _, err := st.Append(u); err != nil {
-				st.Close() //tf:unchecked-ok already failing
-				return nil, err
-			}
-			u.Apply(st.Graph())
-		}
-	}
-
 	eng, err := NewEngine(st.Graph(), q, opt.Options)
 	if err != nil {
 		st.Close() //tf:unchecked-ok already failing
 		return nil, err
 	}
+	return &DurableEngine{store: st, eng: eng, rec: rec}, nil
+}
+
+// bootstrapChunk is how many Bootstrap records a fresh store journals per
+// write: one write — and, under the "always" policy, one fsync — per
+// chunk instead of per record. Every record keeps its own checksummed
+// frame, so a crash mid-bootstrap still recovers a prefix.
+const bootstrapChunk = 1024
+
+// openStore is the store-open path OpenDurable and OpenDurableMulti
+// share: it opens (or creates) the store in dir with opt's journal
+// settings, adopts the label dictionaries, and on a fresh store journals
+// and applies opt.Bootstrap. opt.FanOutWorkers is ignored.
+func openStore(dir string, opt DurableMultiOptions) (*durable.Store, RecoveryInfo, error) {
+	pol, err := durable.ParsePolicy(opt.Fsync)
+	if err != nil {
+		return nil, RecoveryInfo{}, err
+	}
+	st, err := durable.Open(dir, durable.Options{
+		Fsync:        pol,
+		FsyncEvery:   opt.FsyncInterval,
+		SegmentSize:  opt.SegmentSize,
+		VertexLabels: opt.VertexLabels,
+		EdgeLabels:   opt.EdgeLabels,
+	})
+	if err != nil {
+		return nil, RecoveryInfo{}, err
+	}
+	fail := func(err error) (*durable.Store, RecoveryInfo, error) {
+		st.Close() //tf:unchecked-ok already failing
+		return nil, RecoveryInfo{}, err
+	}
+	vd, err := adoptDict(opt.VertexLabels, st.VertexLabels(), "vertex")
+	if err != nil {
+		return fail(err)
+	}
+	ed, err := adoptDict(opt.EdgeLabels, st.EdgeLabels(), "edge")
+	if err != nil {
+		return fail(err)
+	}
+	st.SetDicts(vd, ed)
+
 	rec := st.Recovery()
-	return &DurableEngine{
-		store: st,
-		eng:   eng,
-		rec: RecoveryInfo{
-			SnapshotLSN:    rec.SnapshotLSN,
-			Replayed:       rec.Replayed,
-			TruncatedBytes: rec.TruncatedBytes,
-			Fresh:          rec.Fresh,
-		},
-	}, nil
+	if rec.Fresh {
+		for boot := opt.Bootstrap; len(boot) > 0; {
+			n := min(len(boot), bootstrapChunk)
+			if _, _, err := st.AppendBatch(boot[:n]); err != nil {
+				return fail(err)
+			}
+			for _, u := range boot[:n] {
+				u.Apply(st.Graph())
+			}
+			boot = boot[n:]
+		}
+	}
+	return st, RecoveryInfo(rec), nil
 }
 
 // adoptDict merges the recovered dictionary names into the caller's

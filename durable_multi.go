@@ -19,9 +19,6 @@ type DurableMultiOptions struct {
 	// SegmentSize rotates the log once the active segment reaches this
 	// many bytes (default 4 MiB).
 	SegmentSize int64
-	// ReplayBatch sets how many WAL-tail records recovery applies per
-	// batched pass (default 1024; 1 selects the record-at-a-time path).
-	ReplayBatch int
 
 	// VertexLabels / EdgeLabels, when non-nil, become the store's label
 	// dictionaries, with recovered names merged in exactly as for
@@ -33,7 +30,8 @@ type DurableMultiOptions struct {
 	Bootstrap []Update
 
 	// FanOutWorkers sizes the multi-query fan-out worker pool (default
-	// GOMAXPROCS; 1 selects the sequential path). See
+	// GOMAXPROCS). It changes only how many engines a run may evaluate
+	// in parallel, never the transcripts or counters. See
 	// MultiEngine.SetFanOutWorkers.
 	FanOutWorkers int
 }
@@ -63,57 +61,13 @@ type DurableMultiEngine struct {
 // the data graph from its newest valid snapshot plus the journaled tail,
 // and wraps it in an empty MultiEngine ready for Register calls.
 func OpenDurableMulti(dir string, opt DurableMultiOptions) (*DurableMultiEngine, error) {
-	pol, err := durable.ParsePolicy(opt.Fsync)
+	st, rec, err := openStore(dir, opt)
 	if err != nil {
 		return nil, err
 	}
-	st, err := durable.Open(dir, durable.Options{
-		Fsync:        pol,
-		FsyncEvery:   opt.FsyncInterval,
-		SegmentSize:  opt.SegmentSize,
-		ReplayBatch:  opt.ReplayBatch,
-		VertexLabels: opt.VertexLabels,
-		EdgeLabels:   opt.EdgeLabels,
-	})
-	if err != nil {
-		return nil, err
-	}
-	vd, err := adoptDict(opt.VertexLabels, st.VertexLabels(), "vertex")
-	if err != nil {
-		st.Close() //tf:unchecked-ok already failing
-		return nil, err
-	}
-	ed, err := adoptDict(opt.EdgeLabels, st.EdgeLabels(), "edge")
-	if err != nil {
-		st.Close() //tf:unchecked-ok already failing
-		return nil, err
-	}
-	st.SetDicts(vd, ed)
-
-	if st.Recovery().Fresh {
-		for _, u := range opt.Bootstrap {
-			if _, err := st.Append(u); err != nil {
-				st.Close() //tf:unchecked-ok already failing
-				return nil, err
-			}
-			u.Apply(st.Graph())
-		}
-	}
-
 	m := NewMultiEngine(st.Graph())
 	m.SetFanOutWorkers(opt.FanOutWorkers)
-
-	rec := st.Recovery()
-	return &DurableMultiEngine{
-		store: st,
-		m:     m,
-		rec: RecoveryInfo{
-			SnapshotLSN:    rec.SnapshotLSN,
-			Replayed:       rec.Replayed,
-			TruncatedBytes: rec.TruncatedBytes,
-			Fresh:          rec.Fresh,
-		},
-	}, nil
+	return &DurableMultiEngine{store: st, m: m, rec: rec}, nil
 }
 
 // Recovery returns what OpenDurableMulti found on disk.

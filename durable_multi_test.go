@@ -21,12 +21,22 @@ func TestDurableMultiFreshAndReopen(t *testing.T) {
 		DeclareVertex(2, 0),
 		DeclareVertex(3, 0),
 	}
+	// Filler edges spanning more than one bootstrap chunk, on a label the
+	// query never mentions between unlabeled vertices it cannot match.
+	const filler = bootstrapChunk + 100
+	for i := VertexID(0); i < filler; i++ {
+		boot = append(boot, Insert(100+i, 5, 101+i))
+	}
 	d, err := OpenDurableMulti(dir, DurableMultiOptions{Fsync: "always", Bootstrap: boot})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !d.Recovery().Fresh {
 		t.Fatalf("recovery = %+v, want fresh", d.Recovery())
+	}
+	if d.LSN() != uint64(len(boot)) || d.Graph().NumEdges() != filler {
+		t.Fatalf("after bootstrap: LSN %d edges %d, want %d and %d",
+			d.LSN(), d.Graph().NumEdges(), len(boot), filler)
 	}
 	if err := d.Register("social", socialQuery(), Options{}); err != nil {
 		t.Fatal(err)
@@ -45,8 +55,8 @@ func TestDurableMultiFreshAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	lsn := d.LSN()
-	if lsn == 0 {
-		t.Fatal("LSN zero after journaled updates")
+	if lsn != uint64(len(boot))+3 {
+		t.Fatalf("LSN %d after bootstrap and three updates, want %d", lsn, len(boot)+3)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -66,8 +76,11 @@ func TestDurableMultiFreshAndReopen(t *testing.T) {
 	if rec.TruncatedBytes != 0 {
 		t.Fatalf("clean close left %d torn bytes", rec.TruncatedBytes)
 	}
-	if got := d2.Graph().NumEdges(); got != 1 {
-		t.Fatalf("recovered edges = %d, want 1", got)
+	if got := d2.Graph().NumEdges(); got != 1+filler {
+		t.Fatalf("recovered edges = %d, want %d", got, 1+filler)
+	}
+	if d2.LSN() != lsn {
+		t.Fatalf("recovered LSN %d, want %d", d2.LSN(), lsn)
 	}
 	if got := d2.Queries(); len(got) != 0 {
 		t.Fatalf("registrations must not survive reopen, got %v", got)

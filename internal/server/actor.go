@@ -25,7 +25,6 @@ type engineHost interface {
 	Register(name string, q *turboflux.Query, opt turboflux.Options) error
 	Unregister(name string) bool
 	Queries() []string
-	Apply(u turboflux.Update) (map[string]int64, error)
 	ApplyBatchFunc(ups []turboflux.Update, boundary func(i int)) (map[string]int64, error)
 	Stats() map[string]turboflux.Stats
 	FanOutStats() turboflux.FanOutStats
@@ -132,8 +131,10 @@ type actor struct {
 	closeErr error         // store-close error, read after done
 
 	// boundary is the persistent per-update hook handed to ApplyBatchFunc
-	// (built once so batch frames allocate no closures).
+	// (built once so batch frames allocate no closures); one is the
+	// persistent batch of one a single-update request is applied as.
 	boundary func(i int)
+	one      [1]stream.Update
 }
 
 func newActor(host engineHost, durable *turboflux.DurableMultiEngine, vdict, edict *turboflux.Dict, policy SlowPolicy, depth int, conns *atomic.Int64) *actor {
@@ -225,7 +226,8 @@ func (a *actor) handle(req request) {
 			resp.err = errFollowerReadOnly
 			break
 		}
-		resp.seq, resp.counts, resp.err = a.applyOne(req.u)
+		a.one[0] = req.u
+		resp.seq, resp.counts, resp.err = a.applyBatch(a.one[:])
 		//tf:unordered-ok summing counts is order-independent
 		for _, n := range resp.counts {
 			resp.total += n
@@ -358,32 +360,19 @@ func (a *actor) registered(name string) bool {
 	return false
 }
 
-// applyOne assigns the next sequence number, applies (journaling first in
-// durable mode) and fans the resulting matches out to subscribers. On an
-// engine error (e.g. a per-query work budget) the update may have been
-// partially evaluated; matches reported before the error are still
-// delivered, which is exactly what a single-threaded replay would emit.
-func (a *actor) applyOne(u stream.Update) (uint64, map[string]int64, error) {
-	start := time.Now()
-	counts, err := a.host.Apply(u)
-	a.seq++
-	a.updates++
-	a.flushPending(a.seq)
-	a.lat.Observe(time.Since(start))
-	return a.seq, counts, err
-}
-
-// applyBatch executes a whole BATCH/BATCHB frame through the engine's
-// batched pipeline (journaling the frame as one log write in durable
-// mode) and returns the sequence number of its first update. The
-// boundary hook preserves the per-update serving contract: it fires once
-// per batch index, after that update's matches have been replayed into
-// pending and before any later update's, so each event is stamped with
-// its own update's sequence number and delivered before the next
-// update's events — the same interleaving a client driving updates
-// one at a time would observe. Unlike the pre-batching loop, an engine
-// error on one update no longer abandons the rest of the frame: every
-// update is applied and the per-update errors are aggregated.
+// applyBatch executes a BATCH/BATCHB frame — or a single i/d/v request,
+// as a batch of one — through the engine's executor (journaling it as
+// one log write in durable mode) and returns the sequence number of its
+// first update. The boundary hook preserves the per-update serving
+// contract: it fires once per batch index, after that update's matches
+// have been replayed into pending and before any later update's, so each
+// event is stamped with its own update's sequence number and delivered
+// before the next update's events — the same interleaving a client
+// driving updates one at a time would observe. An engine error on one
+// update (e.g. a per-query work budget) abandons neither the rest of the
+// frame nor the matches reported before it: every update is applied and
+// the per-update errors are aggregated. Each call records one
+// apply_latency sample.
 //
 //tf:hotpath
 func (a *actor) applyBatch(ups []stream.Update) (uint64, map[string]int64, error) {

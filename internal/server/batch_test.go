@@ -37,21 +37,80 @@ func batchWorkload() []turboflux.Update {
 	return ups
 }
 
+// batchQueries are the workload's standing queries. Registration order
+// is part of the emission order within an update, so it is fixed.
+var batchQueries = []struct{ name, pattern string }{
+	{"knows2", "(a:P)-[:knows]->(b:P)"},
+	{"likes2", "(a:P)-[:likes]->(b:P)"},
+	{"knows2rev", "(b:P)-[:knows]->(a:P)"},
+}
+
+// batchDicts builds the workload's label dictionaries and bootstrap: 10
+// vertices labeled P, edge labels knows and likes.
+func batchDicts() (vdict, edict *turboflux.Dict, boot []turboflux.Update) {
+	vdict = turboflux.NewDict()
+	vdict.Intern("P")
+	edict = turboflux.NewDict()
+	edict.Intern("knows")
+	edict.Intern("likes")
+	for v := turboflux.VertexID(1); v <= 10; v++ {
+		boot = append(boot, turboflux.DeclareVertex(v, 0))
+	}
+	return vdict, edict, boot
+}
+
+// batchReference computes the expected subscriber transcripts offline,
+// sharing no code with the serving path: one independent Engine per
+// query over its own bootstrap graph, the workload applied in order with
+// update i stamped seq i+1.
+func batchReference(t *testing.T) map[string][]transcriptEntry {
+	t.Helper()
+	vdict, edict, boot := batchDicts()
+	want := map[string][]transcriptEntry{}
+	var seq uint64
+	var engs []*turboflux.Engine
+	for _, reg := range batchQueries {
+		q, _, err := turboflux.ParseQuery(reg.pattern, vdict, edict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := turboflux.NewGraph()
+		for _, u := range boot {
+			u.Apply(g)
+		}
+		name := reg.name
+		eng, err := turboflux.NewEngine(g, q, turboflux.Options{
+			OnMatch: func(positive bool, m []turboflux.VertexID) {
+				sign := byte('+')
+				if !positive {
+					sign = '-'
+				}
+				want[name] = append(want[name], transcriptEntry{seq: seq, sign: sign, mapping: mappingKey(m)})
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engs = append(engs, eng)
+	}
+	for i, u := range batchWorkload() {
+		seq = uint64(i + 1)
+		for _, eng := range engs {
+			if _, err := eng.Apply(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return want
+}
+
 // runServerBatchWorkload drives one server with the workload and returns
 // the subscriber's per-query transcripts plus the final STATS lines.
 // batchSize 1 means per-update i/d/v requests; larger sizes send BATCH
 // (or BATCHB) frames of that many updates.
 func runServerBatchWorkload(t *testing.T, workers, batchSize int, binary bool) (map[string][]transcriptEntry, []string) {
 	t.Helper()
-	vdict := turboflux.NewDict()
-	vdict.Intern("P")
-	edict := turboflux.NewDict()
-	edict.Intern("knows")
-	edict.Intern("likes")
-	var boot []turboflux.Update
-	for v := turboflux.VertexID(1); v <= 10; v++ {
-		boot = append(boot, turboflux.DeclareVertex(v, 0))
-	}
+	vdict, edict, boot := batchDicts()
 	_, addr := startServer(t, Options{
 		Slow:          PolicyBlock,
 		QueueDepth:    256,
@@ -62,21 +121,15 @@ func runServerBatchWorkload(t *testing.T, workers, batchSize int, binary bool) (
 	})
 
 	admin := dialTest(t, addr)
-	// Registration order is part of the emission order within an update,
-	// so it must be fixed across runs.
-	for _, reg := range []struct{ name, pattern string }{
-		{"knows2", "(a:P)-[:knows]->(b:P)"},
-		{"likes2", "(a:P)-[:likes]->(b:P)"},
-		{"knows2rev", "(b:P)-[:knows]->(a:P)"},
-	} {
+	for _, reg := range batchQueries {
 		if err := admin.Register(reg.name, reg.pattern); err != nil {
 			t.Fatalf("register %s: %v", reg.name, err)
 		}
 	}
 	sub := dialTest(t, addr)
-	for _, name := range []string{"knows2", "likes2", "knows2rev"} {
-		if _, err := sub.Subscribe(name); err != nil {
-			t.Fatalf("subscribe %s: %v", name, err)
+	for _, reg := range batchQueries {
+		if _, err := sub.Subscribe(reg.name); err != nil {
+			t.Fatalf("subscribe %s: %v", reg.name, err)
 		}
 	}
 
@@ -154,36 +207,18 @@ func runServerBatchWorkload(t *testing.T, workers, batchSize int, binary bool) (
 
 // comparableStats filters STATS down to the lines and fields that must be
 // identical between a BATCH run and its per-update equivalent: the server
-// sequencing counters and the per-query match counters. apply_latency is
+// sequencing counters, the fan-out routing counters (evals, skipped), the
+// sharing counters and the per-query match counters. apply_latency is
 // wall-clock timing; the sub lines carry pump-timing-dependent queue
-// depths; the fanout line mixes equivalent fields (evals, skipped) with
-// ones batching legitimately changes (batches, pooled, busy_ns), so it is
-// reduced to the equivalent fields only when requested. The mqo line is
-// reduced to its structural fields (subpats, shared, refs) — the
-// maintain/saved/replays counters depend on how updates group into runs
-// (the batch scheduler maintains a sub-pattern only for the updates it
-// routes to it, the sequential path for every update).
-func comparableStats(t *testing.T, lines []string, fanout bool) []string {
+// depths; the fanout line's pool fields (pooled, batches, busy_ns)
+// legitimately change with how updates group into runs.
+func comparableStats(t *testing.T, lines []string) []string {
 	t.Helper()
 	var out []string
 	for _, l := range lines {
 		switch {
 		case strings.HasPrefix(l, "apply_latency"), strings.HasPrefix(l, "sub "):
-		case strings.HasPrefix(l, "mqo "):
-			kv := map[string]string{}
-			for _, f := range strings.Fields(l)[1:] {
-				k, v, ok := strings.Cut(f, "=")
-				if !ok {
-					t.Fatalf("malformed mqo field %q in %q", f, l)
-				}
-				kv[k] = v
-			}
-			out = append(out, fmt.Sprintf("mqo subpats=%s shared=%s refs=%s",
-				kv["subpats"], kv["shared"], kv["refs"]))
 		case strings.HasPrefix(l, "fanout "):
-			if !fanout {
-				continue
-			}
 			kv := map[string]string{}
 			for _, f := range strings.Fields(l)[1:] {
 				k, v, ok := strings.Cut(f, "=")
@@ -202,25 +237,23 @@ func comparableStats(t *testing.T, lines []string, fanout bool) []string {
 }
 
 // TestServerBatchEquivalence pins the serving contract for BATCH frames:
-// a BATCH (and BATCHB) frame must produce exactly the subscriber
-// transcript — same events, same per-update sequence stamps, same order —
-// and the same STATS counters as the equivalent sequence of i/d/v
-// requests, at both worker counts. The fan-out routing counters are
-// compared at workers=4 only: the per-update workers=1 path evaluates
-// every engine sequentially and never routes, so evals/skipped
-// legitimately differ there.
+// per-update i/d/v requests, BATCH and BATCHB frames must all produce
+// the subscriber transcript of independent per-query engines — same
+// events, same per-update sequence stamps, same order — and the frames
+// the same STATS counters as the per-update requests, at both worker
+// counts.
 func TestServerBatchEquivalence(t *testing.T) {
+	wantTr := batchReference(t)
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			fanout := workers > 1
-			wantTr, wantLines := runServerBatchWorkload(t, workers, 1, false)
-			wantStats := comparableStats(t, wantLines, fanout)
+			var wantStats []string
 			for _, run := range []struct {
 				name      string
 				batchSize int
 				binary    bool
 			}{
+				{"per-update", 1, false},
 				{"BATCH/64", 64, false},
 				{"BATCHB/64", 64, true},
 			} {
@@ -242,7 +275,11 @@ func TestServerBatchEquivalence(t *testing.T) {
 						t.Fatalf("%s: unexpected events for query %s", run.name, name)
 					}
 				}
-				gotStats := comparableStats(t, gotLines, fanout)
+				gotStats := comparableStats(t, gotLines)
+				if wantStats == nil {
+					wantStats = gotStats
+					continue
+				}
 				if len(gotStats) != len(wantStats) {
 					t.Fatalf("%s: %d comparable STATS lines, want %d:\n%s\nvs\n%s",
 						run.name, len(gotStats), len(wantStats),

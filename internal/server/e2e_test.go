@@ -177,24 +177,23 @@ func runServerE2EDeterminism(t *testing.T, workers int) {
 		}
 	}
 
-	// Offline replay: a fresh single-threaded MultiEngine over the same
-	// bootstrap and queries, fed the same total order, defines the expected
-	// per-query transcripts.
-	g := turboflux.NewGraph()
-	for _, u := range boot {
-		u.Apply(g)
-	}
-	replay := turboflux.NewMultiEngine(g)
-	replay.SetFanOutWorkers(1) // the reference is the sequential path
+	// Offline replay: one independent Engine per query, each over its own
+	// copy of the bootstrap graph, fed the same total order, defines the
+	// expected per-query transcripts.
 	expected := map[string][]transcriptEntry{}
 	var replaySeq uint64
+	var replay []*turboflux.Engine
 	for name, pattern := range queries {
 		q, _, err := turboflux.ParseQuery(pattern, vdict, edict)
 		if err != nil {
 			t.Fatal(err)
 		}
+		g := turboflux.NewGraph()
+		for _, u := range boot {
+			u.Apply(g)
+		}
 		name := name
-		err = replay.Register(name, q, turboflux.Options{
+		eng, err := turboflux.NewEngine(g, q, turboflux.Options{
 			OnMatch: func(positive bool, m []turboflux.VertexID) {
 				sign := byte('+')
 				if !positive {
@@ -207,11 +206,14 @@ func runServerE2EDeterminism(t *testing.T, workers int) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		replay = append(replay, eng)
 	}
 	for _, au := range total {
 		replaySeq = au.seq
-		if _, err := replay.Apply(au.u); err != nil {
-			t.Fatalf("replay seq %d: %v", au.seq, err)
+		for _, eng := range replay {
+			if _, err := eng.Apply(au.u); err != nil {
+				t.Fatalf("replay seq %d: %v", au.seq, err)
+			}
 		}
 	}
 	want := 0

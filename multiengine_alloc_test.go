@@ -3,6 +3,7 @@
 package turboflux
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -59,26 +60,31 @@ func allocGuardSetup(t *testing.T, workers int) (*MultiEngine, []Update, []Updat
 	return m, ins, dels
 }
 
-// TestApplyThunkPathAllocs guards the per-update fan-out: once warm, an
-// insert/delete cycle dispatched through the prebuilt eval thunks must
-// not allocate on the coordinator side at all.
-func TestApplyThunkPathAllocs(t *testing.T) {
-	m, ins, dels := allocGuardSetup(t, 4)
-	cycle := func() {
-		for _, u := range ins {
-			if counts, err := m.Apply(u); err != nil || counts != nil {
-				t.Fatalf("insert: counts=%v err=%v", counts, err)
+// TestApplySingleUpdateAllocs guards the single-update path: once warm,
+// an insert/delete cycle through Apply — each update a batch of one
+// through the executor — must not allocate on the coordinator side at
+// all, at one worker and with the pool engaged.
+func TestApplySingleUpdateAllocs(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			m, ins, dels := allocGuardSetup(t, workers)
+			cycle := func() {
+				for _, u := range ins {
+					if counts, err := m.Apply(u); err != nil || counts != nil {
+						t.Fatalf("insert: counts=%v err=%v", counts, err)
+					}
+				}
+				for _, u := range dels {
+					if counts, err := m.Apply(u); err != nil || counts != nil {
+						t.Fatalf("delete: counts=%v err=%v", counts, err)
+					}
+				}
 			}
-		}
-		for _, u := range dels {
-			if counts, err := m.Apply(u); err != nil || counts != nil {
-				t.Fatalf("delete: counts=%v err=%v", counts, err)
+			cycle() // warm the pool, scratch slices and adjacency capacities
+			if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+				t.Fatalf("single-update path: %v allocs per insert/delete cycle, want 0", avg)
 			}
-		}
-	}
-	cycle() // warm the pool, scratch slices and adjacency capacities
-	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
-		t.Fatalf("per-update thunk path: %v allocs per insert/delete cycle, want 0", avg)
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -64,48 +65,136 @@ func randomBatchStream(rng *rand.Rand, nUpdates int) []Update {
 	return ups
 }
 
+// taggedTranscript returns an OnMatch writer for query name that appends
+// to the one shared transcript b, so inter-query emission order
+// (registration order within an update) is part of the compared bytes.
+func taggedTranscript(b *strings.Builder, name string) func(positive bool, mapping []VertexID) {
+	return func(positive bool, mapping []VertexID) {
+		sign := byte('+')
+		if !positive {
+			sign = '-'
+		}
+		fmt.Fprintf(b, "%s%c%v;", name, sign, mapping)
+	}
+}
+
 // registerBatchSpecs registers the specs' queries on m, all writing into
-// one shared transcript so inter-query emission order (registration
-// order within an update) is part of the compared bytes.
+// one shared transcript.
 func registerBatchSpecs(t *testing.T, m *MultiEngine, specs []parallelQuerySpec, b *strings.Builder) {
 	t.Helper()
 	for i, s := range specs {
 		name := fmt.Sprintf("q%d", i)
 		q, opt := s.build()
-		opt.OnMatch = func(positive bool, mapping []VertexID) {
-			sign := byte('+')
-			if !positive {
-				sign = '-'
-			}
-			fmt.Fprintf(b, "%s%c%v;", name, sign, mapping)
-		}
+		opt.OnMatch = taggedTranscript(b, name)
 		if err := m.Register(name, q, opt); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// runBatchSequential is the reference run: per-update Apply with a
-// boundary marker written after each update's emissions.
-func runBatchSequential(t *testing.T, specs []parallelQuerySpec, ups []Update) (string, map[string]int64) {
+// runIndependent is the reference the MultiEngine transcript suites
+// compare against, sharing no code with the MultiEngine executor: one
+// Engine per query, each over its own graph, with every update applied to
+// each engine in registration order. onMatch builds each query's OnMatch;
+// boundary, when non-nil, runs after each update. With churn (see
+// runMQOStream) the first and last queries are dropped a third of the way
+// in and re-registered at two thirds, each over a graph rebuilt from the
+// stream prefix. It returns the summed per-query counts and the final
+// per-query engine stats.
+func runIndependent(t *testing.T, specs []parallelQuerySpec, ups []Update, churn bool,
+	onMatch func(name string) func(bool, []VertexID), boundary func(i int)) (map[string]int64, map[string]Stats) {
 	t.Helper()
-	m := NewMultiEngine(NewGraph())
-	defer m.Close() //tf:unchecked-ok test teardown
-	m.SetFanOutWorkers(1)
-	var b strings.Builder
-	registerBatchSpecs(t, m, specs, &b)
-	totals := map[string]int64{}
-	for i, u := range ups {
-		counts, err := m.Apply(u)
+	type ref struct {
+		spec int
+		name string
+		eng  *Engine
+	}
+	var refs []ref
+	reg := func(i int, g *Graph) {
+		name := fmt.Sprintf("q%d", i)
+		q, opt := specs[i].build()
+		opt.OnMatch = onMatch(name)
+		eng, err := NewEngine(g, q, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, n := range counts {
-			totals[name] += n
-		}
-		fmt.Fprintf(&b, "|%d;", i)
+		refs = append(refs, ref{i, name, eng})
 	}
+	for i := range specs {
+		reg(i, NewGraph())
+	}
+	cut1, cut2 := -1, -1
+	if churn {
+		cut1, cut2 = len(ups)/3, 2*len(ups)/3
+	}
+	churned := []int{0, len(specs) - 1}
+	totals := map[string]int64{}
+	for i, u := range ups {
+		switch i {
+		case cut1:
+			live := refs[:0]
+			for _, r := range refs {
+				if r.spec != churned[0] && r.spec != churned[1] {
+					live = append(live, r)
+				}
+			}
+			refs = live
+		case cut2:
+			for _, c := range churned {
+				g := NewGraph()
+				for _, p := range ups[:cut2] {
+					p.Apply(g)
+				}
+				reg(c, g)
+			}
+		}
+		for _, r := range refs {
+			n, err := r.eng.Apply(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != 0 {
+				totals[r.name] += n
+			}
+		}
+		if boundary != nil {
+			boundary(i)
+		}
+	}
+	stats := map[string]Stats{}
+	for _, r := range refs {
+		stats[r.name] = r.eng.Stats()
+	}
+	return totals, stats
+}
+
+// runReference renders runIndependent in the batch transcript format:
+// query-tagged emissions with a boundary marker after each update, then
+// the final engine state (see statsTrailer).
+func runReference(t *testing.T, specs []parallelQuerySpec, ups []Update, churn bool) (string, map[string]int64) {
+	t.Helper()
+	var b strings.Builder
+	totals, stats := runIndependent(t, specs, ups, churn,
+		func(name string) func(bool, []VertexID) { return taggedTranscript(&b, name) },
+		func(i int) { fmt.Fprintf(&b, "|%d;", i) })
+	statsTrailer(&b, stats)
 	return b.String(), totals
+}
+
+// statsTrailer appends each query's final match totals and DCG size to a
+// transcript, in name order, so the compared bytes also cover engine
+// state the emissions do not show (e.g. root-candidate bookkeeping for
+// vertices created by updates a query was routed away from).
+func statsTrailer(b *strings.Builder, stats map[string]Stats) {
+	names := make([]string, 0, len(stats))
+	for name := range stats {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		st := stats[name]
+		fmt.Fprintf(b, "#%s pos=%d neg=%d dcg=%d;", name, st.PositiveMatches, st.NegativeMatches, st.DCGEdges)
+	}
 }
 
 // runBatchStream applies ups through ApplyBatchFunc in chunks of
@@ -132,6 +221,7 @@ func runBatchStream(t *testing.T, workers, batchSize int, specs []parallelQueryS
 		}
 		off += len(chunk)
 	}
+	statsTrailer(&b, m.Stats())
 	return b.String(), totals
 }
 
@@ -159,8 +249,8 @@ func firstDiff(got, want string) string {
 // (including mid-stream vertex creation and no-op updates) and random
 // query mixes, ApplyBatchFunc produces a byte-identical interleaved
 // transcript — emissions tagged by query, in registration order within
-// each update, with per-update boundary markers — to sequential
-// per-update evaluation, across batch sizes and worker counts.
+// each update, with per-update boundary markers — to independent
+// per-query engines, across batch sizes and worker counts.
 func TestBatchEquivalence(t *testing.T) {
 	nUpdates := 600
 	if testing.Short() {
@@ -172,7 +262,7 @@ func TestBatchEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			specs := randomQuerySpecs(rng)
 			ups := randomBatchStream(rng, nUpdates)
-			wantTr, wantTot := runBatchSequential(t, specs, ups)
+			wantTr, wantTot := runReference(t, specs, ups, false)
 			for _, workers := range []int{1, 4, 8} {
 				for _, bs := range []int{1, 16, 256, 4096} {
 					gotTr, gotTot := runBatchStream(t, workers, bs, specs, ups)
@@ -260,9 +350,10 @@ func TestBatchErrorEvaluatesAll(t *testing.T) {
 	}
 }
 
-// TestBatchRoutingStats checks that batch evaluation accounts evals and
-// label-routing skips exactly like the per-update parallel path, so the
-// serving STATS counters stay meaningful under BATCH frames.
+// TestBatchRoutingStats checks that the routing counters are
+// path-independent: every worker count, per-update Apply and batches
+// account the same evals and label-routing skips, so the serving STATS
+// counters mean the same thing on every path.
 func TestBatchRoutingStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	specs := []parallelQuerySpec{
@@ -271,10 +362,10 @@ func TestBatchRoutingStats(t *testing.T) {
 	}
 	ups := randomStream(rng, 300)
 
-	stats := func(batch int) (uint64, uint64) {
+	stats := func(workers, batch int) (uint64, uint64) {
 		m := NewMultiEngine(NewGraph())
 		defer m.Close() //tf:unchecked-ok test teardown
-		m.SetFanOutWorkers(4)
+		m.SetFanOutWorkers(workers)
 		for i, s := range specs {
 			q, opt := s.build()
 			if err := m.Register(fmt.Sprintf("q%d", i), q, opt); err != nil {
@@ -298,13 +389,17 @@ func TestBatchRoutingStats(t *testing.T) {
 		return fs.Evals, fs.Skipped
 	}
 
-	wantEvals, wantSkipped := stats(0)
-	gotEvals, gotSkipped := stats(64)
-	if gotEvals != wantEvals || gotSkipped != wantSkipped {
-		t.Fatalf("batch evals=%d skipped=%d, per-update evals=%d skipped=%d",
-			gotEvals, gotSkipped, wantEvals, wantSkipped)
-	}
-	if gotSkipped == 0 {
+	wantEvals, wantSkipped := stats(1, 0)
+	if wantSkipped == 0 {
 		t.Fatal("Skipped = 0: routing never engaged on a disjoint-label mix")
+	}
+	for _, workers := range []int{1, 4, 8} {
+		for _, batch := range []int{0, 64} {
+			gotEvals, gotSkipped := stats(workers, batch)
+			if gotEvals != wantEvals || gotSkipped != wantSkipped {
+				t.Fatalf("workers=%d batch=%d: evals=%d skipped=%d, want evals=%d skipped=%d (workers=1 per-update)",
+					workers, batch, gotEvals, gotSkipped, wantEvals, wantSkipped)
+			}
+		}
 	}
 }

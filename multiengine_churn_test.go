@@ -65,8 +65,8 @@ func churnStream(rng *rand.Rand, waves int) []Update {
 // layout overhaul (DESIGN.md §16): under delete-heavy churn that
 // exercises slot release, epoch recycling, adjacency-bucket compaction
 // and vertex re-creation on recycled slots, every worker count and batch
-// size must reproduce the single-worker per-update transcript byte for
-// byte.
+// size must reproduce the independent per-query engines' transcript byte
+// for byte.
 func TestDeleteHeavyChurnEquivalence(t *testing.T) {
 	waves := 6
 	if testing.Short() {
@@ -78,7 +78,7 @@ func TestDeleteHeavyChurnEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			specs := randomQuerySpecs(rng)
 			ups := churnStream(rng, waves)
-			wantTr, wantTot := runBatchSequential(t, specs, ups)
+			wantTr, wantTot := runReference(t, specs, ups, false)
 			for _, workers := range []int{1, 4, 8} {
 				for _, batch := range []int{1, 256} {
 					gotTr, gotTot := runBatchStream(t, workers, batch, specs, ups)

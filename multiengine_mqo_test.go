@@ -44,8 +44,8 @@ func mqoOverlapSpecs(rng *rand.Rand) []parallelQuerySpec {
 }
 
 // runMQOStream runs the specs over ups with sub-pattern sharing on or
-// off, all queries writing one interleaved transcript (registration
-// order within an update is part of the compared bytes, exactly as in
+// off, all queries writing one interleaved transcript (registration order within
+// an update is part of the compared bytes, exactly as in
 // runBatchStream). With churn, the first and last queries are
 // unregistered a third of the way in and re-registered (against the
 // then-current graph) at two thirds, exercising refcount release,
@@ -60,13 +60,7 @@ func runMQOStream(t *testing.T, sharing bool, workers, batchSize int, specs []pa
 	reg := func(i int) {
 		name := fmt.Sprintf("q%d", i)
 		q, opt := specs[i].build()
-		opt.OnMatch = func(positive bool, mapping []VertexID) {
-			sign := byte('+')
-			if !positive {
-				sign = '-'
-			}
-			fmt.Fprintf(&b, "%s%c%v;", name, sign, mapping)
-		}
+		opt.OnMatch = taggedTranscript(&b, name)
 		if err := m.Register(name, q, opt); err != nil {
 			t.Fatal(err)
 		}
@@ -92,6 +86,7 @@ func runMQOStream(t *testing.T, sharing bool, workers, batchSize int, specs []pa
 	}
 	if !churn {
 		apply(ups, 0)
+		statsTrailer(&b, m.Stats())
 		return b.String(), totals, m.MQOStats()
 	}
 	cut1, cut2 := len(ups)/3, 2*len(ups)/3
@@ -107,15 +102,54 @@ func runMQOStream(t *testing.T, sharing bool, workers, batchSize int, specs []pa
 		reg(i)
 	}
 	apply(ups[cut2:], cut2)
+	statsTrailer(&b, m.Stats())
 	return b.String(), totals, m.MQOStats()
+}
+
+// checkMQOGrid runs specs over ups with sub-pattern sharing on across
+// workers 1/4/8 × batch 1/256, and once with sharing off, requiring every
+// transcript and count to equal independent per-query engines' and the
+// sharing counters to be identical across the sharing-on cells.
+func checkMQOGrid(t *testing.T, specs []parallelQuerySpec, ups []Update, churn bool) {
+	t.Helper()
+	wantTr, wantTot := runReference(t, specs, ups, churn)
+	check := func(cell, gotTr string, gotTot map[string]int64) {
+		t.Helper()
+		if gotTr != wantTr {
+			t.Fatalf("%s: transcript diverged from independent engines %s", cell, firstDiff(gotTr, wantTr))
+		}
+		for name, want := range wantTot {
+			if got := gotTot[name]; got != want {
+				t.Fatalf("%s query %s: counts %d != %d", cell, name, got, want)
+			}
+		}
+	}
+	gotTr, gotTot, _ := runMQOStream(t, false, 1, 1, specs, ups, churn)
+	check("sharing off", gotTr, gotTot)
+	var wantSt MQOStats
+	for _, workers := range []int{1, 4, 8} {
+		for _, batch := range []int{1, 256} {
+			cell := fmt.Sprintf("workers=%d batch=%d", workers, batch)
+			gotTr, gotTot, st := runMQOStream(t, true, workers, batch, specs, ups, churn)
+			if st.MaintainRuns == 0 || st.SavedEvals == 0 {
+				t.Fatalf("%s: sharing never engaged: %+v", cell, st)
+			}
+			if workers == 1 && batch == 1 {
+				wantSt = st
+			} else if st != wantSt {
+				t.Fatalf("%s: MQOStats %+v, want %+v (workers=1 batch=1)", cell, st, wantSt)
+			}
+			check(cell, gotTr, gotTot)
+		}
+	}
 }
 
 // TestMQOEquivalence is the acceptance property of the shared-evaluation
 // layer (DESIGN.md §17): for overlapping query mixes and random streams
 // (including mid-stream vertex creation and no-op updates), shared
 // sub-pattern evaluation emits byte-identical transcripts and counts to
-// the private-DCG-per-query baseline, for every worker count and batch
-// size.
+// independent per-query engines, for every worker count and batch size —
+// and the sharing counters are identical across all of them.
 func TestMQOEquivalence(t *testing.T) {
 	nUpdates := 300
 	if testing.Short() {
@@ -126,26 +160,7 @@ func TestMQOEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			specs := mqoOverlapSpecs(rng)
-			ups := randomBatchStream(rng, nUpdates)
-			wantTr, wantTot, _ := runMQOStream(t, false, 1, 1, specs, ups, false)
-			for _, workers := range []int{1, 4, 8} {
-				for _, batch := range []int{1, 256} {
-					gotTr, gotTot, st := runMQOStream(t, true, workers, batch, specs, ups, false)
-					if st.SharedSubPatterns == 0 || st.MaintainRuns == 0 || st.SavedEvals == 0 {
-						t.Fatalf("workers=%d batch=%d: sharing never engaged: %+v", workers, batch, st)
-					}
-					if gotTr != wantTr {
-						t.Fatalf("workers=%d batch=%d: transcript diverged from private baseline %s",
-							workers, batch, firstDiff(gotTr, wantTr))
-					}
-					for name, want := range wantTot {
-						if got := gotTot[name]; got != want {
-							t.Fatalf("workers=%d batch=%d query %s: counts %d != %d",
-								workers, batch, name, got, want)
-						}
-					}
-				}
-			}
+			checkMQOGrid(t, specs, randomBatchStream(rng, nUpdates), false)
 		})
 	}
 }
@@ -154,7 +169,8 @@ func TestMQOEquivalence(t *testing.T) {
 // delete-heavy churn stream: sub-patterns demote and re-promote
 // mid-stream, re-registered members adopt the maintained shared DCG in
 // place of a fresh build, and released slots recycle — all without the
-// transcript drifting a byte from the private baseline.
+// transcript drifting a byte from independent per-query engines, and
+// with the same sharing counters at every worker count and batch size.
 func TestMQOChurnEquivalence(t *testing.T) {
 	waves := 4
 	if testing.Short() {
@@ -165,26 +181,7 @@ func TestMQOChurnEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			specs := mqoOverlapSpecs(rng)
-			ups := churnStream(rng, waves)
-			wantTr, wantTot, _ := runMQOStream(t, false, 1, 1, specs, ups, true)
-			for _, workers := range []int{1, 4, 8} {
-				for _, batch := range []int{1, 256} {
-					gotTr, gotTot, st := runMQOStream(t, true, workers, batch, specs, ups, true)
-					if st.MaintainRuns == 0 {
-						t.Fatalf("workers=%d batch=%d: sharing never engaged: %+v", workers, batch, st)
-					}
-					if gotTr != wantTr {
-						t.Fatalf("workers=%d batch=%d: transcript diverged from private baseline %s",
-							workers, batch, firstDiff(gotTr, wantTr))
-					}
-					for name, want := range wantTot {
-						if got := gotTot[name]; got != want {
-							t.Fatalf("workers=%d batch=%d query %s: counts %d != %d",
-								workers, batch, name, got, want)
-						}
-					}
-				}
-			}
+			checkMQOGrid(t, specs, churnStream(rng, waves), true)
 		})
 	}
 }

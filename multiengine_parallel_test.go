@@ -92,6 +92,19 @@ func randomStream(rng *rand.Rand, nUpdates int) []Update {
 	return ups
 }
 
+// perQueryTranscript returns an OnMatch writer appending sign + mapping
+// per match to one query's own transcript b.
+func perQueryTranscript(b *strings.Builder) func(positive bool, mapping []VertexID) {
+	return func(positive bool, mapping []VertexID) {
+		sign := byte('+')
+		if !positive {
+			sign = '-'
+		}
+		b.WriteByte(sign)
+		fmt.Fprintf(b, "%v;", mapping)
+	}
+}
+
 // runParallelStream registers the specs' queries on a fresh graph with
 // the given worker count, applies the stream, and returns the per-query
 // emission transcript (sign + mapping per match, in delivery order) and
@@ -110,14 +123,7 @@ func runParallelStream(t *testing.T, workers int, specs []parallelQuerySpec, ups
 		b := &strings.Builder{}
 		transcripts[name] = b
 		q, opt := s.build()
-		opt.OnMatch = func(positive bool, mapping []VertexID) {
-			sign := byte('+')
-			if !positive {
-				sign = '-'
-			}
-			b.WriteByte(sign)
-			fmt.Fprintf(b, "%v;", mapping)
-		}
+		opt.OnMatch = perQueryTranscript(b)
 		if err := m.Register(name, q, opt); err != nil {
 			t.Fatal(err)
 		}
@@ -141,8 +147,8 @@ func runParallelStream(t *testing.T, workers int, specs []parallelQuerySpec, ups
 
 // TestParallelFanOutEquivalence is the tentpole property: for random
 // streams and random query mixes, every worker-pool configuration
-// produces byte-identical per-query transcripts and counts to the
-// sequential path.
+// produces byte-identical per-query transcripts and counts to
+// independent per-query engines.
 func TestParallelFanOutEquivalence(t *testing.T) {
 	nUpdates := 400
 	if testing.Short() {
@@ -154,18 +160,23 @@ func TestParallelFanOutEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			specs := randomQuerySpecs(rng)
 			ups := randomStream(rng, nUpdates)
-			wantTr, wantTot := runParallelStream(t, 1, specs, ups)
-			for _, workers := range []int{2, 4, 8} {
+			wantTr := map[string]*strings.Builder{}
+			wantTot, _ := runIndependent(t, specs, ups, false, func(name string) func(bool, []VertexID) {
+				b := &strings.Builder{}
+				wantTr[name] = b
+				return perQueryTranscript(b)
+			}, nil)
+			for _, workers := range []int{1, 2, 4, 8} {
 				gotTr, gotTot := runParallelStream(t, workers, specs, ups)
 				for name, want := range wantTr {
-					if got := gotTr[name]; got != want {
-						t.Fatalf("workers=%d query %s: transcript diverged\nsequential: %s\nparallel:   %s",
+					if got := gotTr[name]; got != want.String() {
+						t.Fatalf("workers=%d query %s: transcript diverged\nreference: %s\ngot:       %s",
 							workers, name, want, got)
 					}
 				}
 				for name, want := range wantTot {
 					if got := gotTot[name]; got != want {
-						t.Fatalf("workers=%d query %s: counts %d != sequential %d",
+						t.Fatalf("workers=%d query %s: counts %d != reference %d",
 							workers, name, got, want)
 					}
 				}
@@ -291,35 +302,63 @@ func TestMultiEngineFanOutErrorEvaluatesAll(t *testing.T) {
 // TestParallelFanOutNewVertexRouting pins the label-routing soundness
 // condition: an insert that creates brand-new endpoint vertices must
 // still register them as root candidates in engines the update's label
-// was routed away from.
+// was routed away from — private engines and shared-DCG maintainers
+// alike — leaving every DCG exactly as an independent engine's.
 func TestParallelFanOutNewVertexRouting(t *testing.T) {
-	m := NewMultiEngine(NewGraph())
-	defer m.Close() //tf:unchecked-ok test teardown
-	m.SetFanOutWorkers(4)
-	// Two queries on disjoint labels; unlabeled query vertices so the
-	// auto-created (unlabeled) endpoints are candidates.
-	q0 := NewQuery(2)
-	_ = q0.AddEdge(0, 0, 1)
-	q1 := NewQuery(2)
-	_ = q1.AddEdge(0, 1, 1)
-	if err := m.Register("l0", q0, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Register("l1", q1, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	// This insert creates vertices 1 and 2 and is routed only to l0; l1
-	// must still learn about the new vertices.
-	if _, err := m.Insert(1, 0, 2); err != nil {
-		t.Fatal(err)
-	}
-	// If l1 missed the root-candidate bookkeeping, this label-1 edge
-	// between the auto-created vertices reports no match.
-	counts, err := m.Insert(1, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts["l1"] != 1 {
-		t.Fatalf("counts = %v; skipped engine missed the new vertices", counts)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			m := NewMultiEngine(NewGraph())
+			defer m.Close() //tf:unchecked-ok test teardown
+			m.SetFanOutWorkers(workers)
+			// Queries on disjoint labels; unlabeled query vertices so the
+			// auto-created (unlabeled) endpoints are candidates. The two
+			// label-1 queries share one sub-pattern DCG; l2 stays private.
+			mkQ := func(l Label) *Query {
+				q := NewQuery(2)
+				_ = q.AddEdge(0, l, 1)
+				return q
+			}
+			for _, r := range []struct {
+				name string
+				l    Label
+			}{{"l0", 0}, {"l1", 1}, {"l1b", 1}, {"l2", 2}} {
+				if err := m.Register(r.name, mkQ(r.l), Options{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := m.MQOStats(); st.SharedSubPatterns != 1 {
+				t.Fatalf("MQOStats = %+v, want the label-1 pair shared", st)
+			}
+			// This insert creates vertices 1 and 2 and is routed only to l0;
+			// the other engines must still learn about the new vertices.
+			if _, err := m.Insert(1, 0, 2); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []struct {
+				name string
+				l    Label
+			}{{"l1", 1}, {"l1b", 1}, {"l2", 2}} {
+				ref, err := NewEngine(NewGraph(), mkQ(r.l), Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ref.Insert(1, 0, 2); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := m.Stats()[r.name].DCGEdges, ref.Stats().DCGEdges; got != want {
+					t.Fatalf("%s: %d DCG edges after the routed-away insert, independent engine has %d", r.name, got, want)
+				}
+			}
+			// If the label-1 engines missed the root-candidate bookkeeping,
+			// this label-1 edge between the auto-created vertices reports no
+			// match.
+			counts, err := m.Insert(1, 1, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if counts["l1"] != 1 || counts["l1b"] != 1 {
+				t.Fatalf("counts = %v; skipped engine missed the new vertices", counts)
+			}
+		})
 	}
 }
