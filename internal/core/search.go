@@ -53,11 +53,11 @@ func (e *Engine) subgraphSearch(dc int) {
 	// search phase applies no DCG transitions, so the slice is stable for
 	// the duration of the loop; iterating it directly avoids allocating a
 	// visitor closure at every search node.
-	for _, v := range e.d.ExplicitChildrenList(vp, u) {
+	for _, c := range e.d.ExplicitChildrenList(vp, u) {
 		if e.aborted {
 			return
 		}
-		e.tryCandidate(u, v, dc)
+		e.tryCandidate(u, c.V, dc)
 	}
 }
 

@@ -91,13 +91,12 @@ func (e *Engine) searchWCO(u graph.VertexID, vp graph.VertexID, dc int) {
 	}
 	// Pick the smallest list to iterate; all others become probes.
 	pick := -1 // -1 = tree list
-	iterate := treeList
+	size := len(treeList)
 	for i := range lists {
-		if len(lists[i].list) < len(iterate) {
-			pick, iterate = i, lists[i].list
+		if len(lists[i].list) < size {
+			pick, size = i, len(lists[i].list)
 		}
 	}
-	probeTree := pick >= 0
 	constraints := selfLoops
 	for i := range lists {
 		if i != pick {
@@ -105,28 +104,37 @@ func (e *Engine) searchWCO(u graph.VertexID, vp graph.VertexID, dc int) {
 		}
 	}
 
-	for _, v := range iterate {
+	if pick < 0 {
+		for _, c := range treeList {
+			if e.aborted {
+				return
+			}
+			e.tryWCO(u, c.V, constraints, dc)
+		}
+		return
+	}
+	for _, v := range lists[pick].list {
 		if e.aborted {
 			return
 		}
-		if !e.usable(v) {
-			continue
+		if e.d.GetState(vp, u, v) != dcg.Explicit {
+			continue // the tree list becomes a probe
 		}
-		if probeTree && e.d.GetState(vp, u, v) != dcg.Explicit {
-			continue
-		}
-		ok := true
-		for _, c := range constraints {
-			if !c.check(e, v) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		e.mapVertex(u, v)
-		e.subgraphSearch(dc + 1)
-		e.unmapVertex(u)
+		e.tryWCO(u, v, constraints, dc)
 	}
+}
+
+// tryWCO maps u to candidate v and recurses when v passes every probe.
+func (e *Engine) tryWCO(u, v graph.VertexID, constraints []wcoConstraint, dc int) {
+	if !e.usable(v) {
+		return
+	}
+	for _, c := range constraints {
+		if !c.check(e, v) {
+			return
+		}
+	}
+	e.mapVertex(u, v)
+	e.subgraphSearch(dc + 1)
+	e.unmapVertex(u)
 }

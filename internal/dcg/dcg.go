@@ -18,30 +18,33 @@
 // with no hash maps anywhere on the update/eval path, mirroring the flat
 // vector + edge-index layout of the reference C++ implementations. A
 // vertex interner maps each participating data vertex to a compact slot;
-// deleted slots are recycled through a free list with an epoch stamp so
-// future cross-query caches can detect stale slot references. Each slot
-// owns, per query-vertex label u':
+// released slots are recycled through a free list. Each slot owns two
+// pointer-free arrays, so a vertex pays only for the labels it uses:
 //
-//   - a sorted in-edge list (parent, state) searched by binary search —
-//     ascending parent order also makes every parent enumeration
-//     deterministic without per-call sorting;
-//   - a sorted explicit-children array (the candidate list SubgraphSearch
-//     enumerates), maintained by binary-search insert/remove. Keeping it
-//     sorted makes candidate enumeration a pure function of the DCG
-//     *state*, independent of the insertion/deletion history that
-//     produced it — the property the multi-query layer relies on when
-//     several queries share one DCG and each must reproduce, byte for
-//     byte, the transcript a private DCG (with a different history)
-//     would have produced (DESIGN.md §17).
+//   - its stored in-edges (label u', parent, state), sorted by (u',
+//     parent) and searched by binary search — ascending parent order
+//     within a label also makes every parent enumeration deterministic
+//     without per-call sorting;
+//   - its explicit children (label u', child), sorted by (u', child). The
+//     children labeled u' are one contiguous sub-range: the candidate list
+//     SubgraphSearch enumerates, maintained by binary-search insert and
+//     remove. Keeping it sorted makes candidate enumeration a pure
+//     function of the DCG *state*, independent of the insertion/deletion
+//     history that produced it — the property the multi-query layer
+//     relies on when several queries share one DCG and each must
+//     reproduce, byte for byte, the transcript a private DCG (with a
+//     different history) would have produced (DESIGN.md §17).
 //
-// The per-label explicit-out count — the paper's bitmap bit — is simply
-// the length of the explicit-children array, so MatchAllChildren stays
-// O(|Children(u)|) integer tests.
+// Two DCG-wide label bitmaps, one bit per (slot, label), record which
+// labels have a non-empty sub-range in each slot. The out bitmap is the
+// paper's explicit-out bitmap: MatchAllChildren costs one bit test per
+// query child, and HasInLabel one bit test.
 package dcg
 
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"turboflux/internal/graph"
@@ -80,55 +83,87 @@ func (s State) String() string {
 // overhead.
 const EdgeBytes = 16
 
-// inEdge is one stored incoming DCG edge of a vertex: the parent data
-// vertex (graph.NoVertex for root edges) and the edge state. The
-// parent-side explicit-children entry is found by binary search over the
-// sorted children array when the edge leaves Explicit.
+// key orders the entries of a slot's arrays: query-vertex label first,
+// then data vertex, so each label's entries form one contiguous sub-range.
+//
+//tf:hotpath
+func key(u, v graph.VertexID) uint64 { return uint64(u)<<32 | uint64(v) }
+
+// labelEnd is the smallest key above every entry labeled u.
+//
+//tf:hotpath
+func labelEnd(u graph.VertexID) uint64 { return key(u, 0) + 1<<32 }
+
+// inEdge is one stored incoming DCG edge of a vertex: its query-vertex
+// label, the parent data vertex (graph.NoVertex for root edges) and the
+// edge state. The parent-side explicit-children entry is found by binary
+// search when the edge leaves Explicit.
 type inEdge struct {
+	u      graph.VertexID
 	parent graph.VertexID
 	state  State
 }
 
-// searchIn returns the position of parent p in the sorted in-edge list l
-// and whether it is present; an absent parent maps to its insertion
-// position. graph.NoVertex is the maximum VertexID, so root edges sort
-// last.
-//
 //tf:hotpath
-func searchIn(l []inEdge, p graph.VertexID) (int, bool) {
-	lo, hi := 0, len(l)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if l[mid].parent < p {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(l) && l[lo].parent == p
+func (e inEdge) key() uint64 { return key(e.u, e.parent) }
+
+// Child is one explicit child entry of a vertex v: the DCG edge
+// (v, QV, V) is EXPLICIT. ExplicitChildrenList returns these.
+type Child struct {
+	QV graph.VertexID // query-vertex label of the edge
+	V  graph.VertexID // child data vertex
 }
 
-// searchOut returns the position of child v in the sorted explicit-
-// children list l and whether it is present; an absent child maps to its
-// insertion position.
+//tf:hotpath
+func (c Child) key() uint64 { return key(c.QV, c.V) }
+
+// lowerIn returns the position of the first entry of the sorted in-edge
+// array l whose key is at least k: k's position when present, its
+// insertion position otherwise. graph.NoVertex is the maximum VertexID,
+// so a label's root edge sorts last in its sub-range.
+//
+// The search is branch-free: the borrow of key-k is 1 exactly when
+// key < k, and each halving step adds it (masked) instead of branching on
+// the comparison. Most slots hold a handful of entries, where
+// mispredicted branches would cost more than the probes themselves.
 //
 //tf:hotpath
-func searchOut(l []graph.VertexID, v graph.VertexID) (int, bool) {
-	lo, hi := 0, len(l)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if l[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+func lowerIn(l []inEdge, k uint64) int {
+	if len(l) == 0 {
+		return 0
 	}
-	return lo, lo < len(l) && l[lo] == v
+	base, n := 0, len(l)
+	for n > 1 {
+		half := n >> 1
+		_, lt := bits.Sub64(l[base+half].key(), k, 0)
+		base += half & -int(lt)
+		n -= half
+	}
+	_, lt := bits.Sub64(l[base].key(), k, 0)
+	return base + int(lt)
+}
+
+// lowerOut is lowerIn for the sorted explicit-children array l.
+//
+//tf:hotpath
+func lowerOut(l []Child, k uint64) int {
+	if len(l) == 0 {
+		return 0
+	}
+	base, n := 0, len(l)
+	for n > 1 {
+		half := n >> 1
+		_, lt := bits.Sub64(l[base+half].key(), k, 0)
+		base += half & -int(lt)
+		n -= half
+	}
+	_, lt := bits.Sub64(l[base].key(), k, 0)
+	return base + int(lt)
 }
 
 // inShrinkMin is the smallest in-edge backing-array capacity delete
 // compaction bothers with; inKeepEmpty is the largest backing array a
-// fully drained list retains for alloc-free churn around zero (same
+// fully drained array retains for alloc-free churn around zero (same
 // policy as the graph's adjacency lists).
 const (
 	inShrinkMin = 16
@@ -136,20 +171,16 @@ const (
 )
 
 // node holds the per-slot DCG storage of one participating data vertex.
-// A released slot keeps its (emptied) per-label arrays so recycling it
-// for a new vertex allocates nothing.
+// The slot is released when both arrays are empty; a released slot keeps
+// its backing arrays so recycling it for a new vertex allocates nothing.
 type node struct {
-	// in[u'] lists the stored incoming edges labeled u', sorted by parent.
-	in [][]inEdge
-	// out[u'] holds this vertex's EXPLICIT children labeled u', for the
-	// forward enumeration of SubgraphSearch (candidates come straight from
-	// the DCG, never by filtering data-graph adjacency). len(out[u']) is
-	// the paper's bitmap bit / explicit-out counter.
-	out [][]graph.VertexID
-	// inTotal/outTotal track total stored in-edges and explicit children
-	// across labels; the slot is recycled when both reach zero.
-	inTotal  int32
-	outTotal int32
+	// in holds the stored incoming edges, sorted by (label, parent).
+	in []inEdge
+	// out holds this vertex's EXPLICIT children, sorted by (label, child),
+	// for the forward enumeration of SubgraphSearch (candidates come
+	// straight from the DCG, never by filtering data-graph adjacency). The
+	// length of label u's sub-range is the explicit-out counter.
+	out []Child
 }
 
 // DCG is the data-centric graph for one query tree. The zero value is not
@@ -160,9 +191,15 @@ type DCG struct {
 
 	slotOf []int32          // data vertex -> interner slot, -1 when absent
 	vids   []graph.VertexID // slot -> data vertex, NoVertex when free
-	epoch  []uint32         // slot -> epoch, bumped each time the slot is recycled
 	nodes  []node           // slot-indexed storage
 	free   []uint32         // recycled slots (LIFO)
+
+	// Label bitmaps, bit s*nq+u: inBits says slot s stores an in-edge
+	// labeled u, outBits that it has an explicit child labeled u (the
+	// paper's bitmap). They answer HasInLabel and MatchAllChildren without
+	// searching the slot's arrays.
+	inBits  []uint64
+	outBits []uint64
 
 	numEdges    int     // stored (implicit + explicit) edges
 	numExplicit int     // stored explicit edges
@@ -193,8 +230,7 @@ func (d *DCG) slot(v graph.VertexID) int32 {
 }
 
 // ensureSlot returns v's slot, interning it if absent: recycled slots are
-// reused (bumping nothing — the epoch was stamped at release), otherwise a
-// fresh slot is appended.
+// reused, otherwise a fresh slot is appended.
 func (d *DCG) ensureSlot(v graph.VertexID) int32 {
 	if int(v) >= len(d.slotOf) {
 		n := int(v) + 1
@@ -217,29 +253,36 @@ func (d *DCG) ensureSlot(v graph.VertexID) int32 {
 		d.free = d.free[:n-1]
 	} else {
 		s = int32(len(d.nodes))
-		d.nodes = append(d.nodes, node{
-			in:  make([][]inEdge, d.nq),
-			out: make([][]graph.VertexID, d.nq),
-		})
+		d.nodes = append(d.nodes, node{})
 		d.vids = append(d.vids, graph.NoVertex)
-		d.epoch = append(d.epoch, 0)
+		for len(d.inBits)*64 < len(d.nodes)*d.nq {
+			d.inBits = append(d.inBits, 0)
+			d.outBits = append(d.outBits, 0)
+		}
 	}
 	d.vids[s] = v
 	d.slotOf[v] = s
 	return s
 }
 
+// labelBit returns the word index and mask of (slot s, label u) in
+// inBits/outBits.
+//
+//tf:hotpath
+func (d *DCG) labelBit(s int32, u graph.VertexID) (int, uint64) {
+	i := int(s)*d.nq + int(u)
+	return i >> 6, 1 << (i & 63)
+}
+
 // maybeRelease recycles slot s when its vertex no longer stores any
-// in-edge or explicit child: the slot goes on the free list with a bumped
-// epoch, invalidating any (slot, epoch) reference a cache may hold.
+// in-edge or explicit child.
 func (d *DCG) maybeRelease(s int32) {
 	n := &d.nodes[s]
-	if n.inTotal != 0 || n.outTotal != 0 || d.vids[s] == graph.NoVertex {
+	if len(n.in) != 0 || len(n.out) != 0 || d.vids[s] == graph.NoVertex {
 		return
 	}
 	d.slotOf[d.vids[s]] = -1
 	d.vids[s] = graph.NoVertex
-	d.epoch[s]++
 	d.free = append(d.free, uint32(s))
 }
 
@@ -252,17 +295,21 @@ func (d *DCG) GetState(v graph.VertexID, u graph.VertexID, v2 graph.VertexID) St
 	if s < 0 {
 		return Null
 	}
-	l := d.nodes[s].in[u]
-	if i, ok := searchIn(l, v); ok {
+	if w, m := d.labelBit(s, u); d.inBits[w]&m == 0 {
+		return Null
+	}
+	l := d.nodes[s].in
+	k := key(u, v)
+	if i := lowerIn(l, k); i < len(l) && l[i].key() == k {
 		return l[i].state
 	}
 	return Null
 }
 
 // MakeTransition sets the state of DCG edge (v, u, v2) to target and
-// reports whether the stored state actually changed. Counts (per-vertex
-// explicit-out, per-label explicit totals, total edges) are maintained
-// here so every engine path stays consistent.
+// reports whether the stored state actually changed. Counts (per-label
+// explicit totals, total edges) and the parent's explicit children are
+// maintained here so every engine path stays consistent.
 //
 //tf:hotpath
 func (d *DCG) MakeTransition(v graph.VertexID, u graph.VertexID, v2 graph.VertexID, target State) bool {
@@ -270,10 +317,10 @@ func (d *DCG) MakeTransition(v graph.VertexID, u graph.VertexID, v2 graph.Vertex
 	idx := 0
 	cur := Null
 	if s2 >= 0 {
-		var ok bool
-		idx, ok = searchIn(d.nodes[s2].in[u], v)
-		if ok {
-			cur = d.nodes[s2].in[u][idx].state
+		l := d.nodes[s2].in
+		k := key(u, v)
+		if idx = lowerIn(l, k); idx < len(l) && l[idx].key() == k {
+			cur = l[idx].state
 		}
 	}
 	if cur == target {
@@ -287,33 +334,40 @@ func (d *DCG) MakeTransition(v graph.VertexID, u graph.VertexID, v2 graph.Vertex
 		d.numExplicit--
 		d.explByLabel[u]--
 		if v != graph.NoVertex {
-			pn := &d.nodes[d.slot(v)] // parent owns an out entry, so it has a slot
-			list := pn.out[u]
-			op, _ := searchOut(list, v2)
-			copy(list[op:], list[op+1:])
-			pn.out[u] = list[:len(list)-1]
-			pn.outTotal--
+			ps := d.slot(v) // parent owns an out entry, so it has a slot
+			pn := &d.nodes[ps]
+			op := lowerOut(pn.out, key(u, v2))
+			copy(pn.out[op:], pn.out[op+1:])
+			l := pn.out[:len(pn.out)-1]
+			pn.out = l
+			if (op == len(l) || l[op].QV != u) && (op == 0 || l[op-1].QV != u) {
+				w, m := d.labelBit(ps, u)
+				d.outBits[w] &^= m
+			}
 		}
 	}
 
 	// Update v2's in-edge storage.
 	switch {
-	case target == Null: // cur != Null: remove, keeping the list sorted
+	case target == Null: // cur != Null: remove, keeping the array sorted
 		n := &d.nodes[s2]
-		l := n.in[u]
+		l := n.in
 		copy(l[idx:], l[idx+1:])
 		l = l[:len(l)-1]
+		if (idx == len(l) || l[idx].u != u) && (idx == 0 || l[idx-1].u != u) {
+			w, m := d.labelBit(s2, u)
+			d.inBits[w] &^= m
+		}
 		switch {
 		case len(l) == 0 && cap(l) > inKeepEmpty:
-			n.in[u] = nil
+			n.in = nil
 		case cap(l) >= inShrinkMin && len(l)*4 <= cap(l):
 			nl := make([]inEdge, len(l), cap(l)/2)
 			copy(nl, l)
-			n.in[u] = nl
+			n.in = nl
 		default:
-			n.in[u] = l
+			n.in = l
 		}
-		n.inTotal--
 		d.numEdges--
 	case cur == Null: // insert at the sorted position
 		if s2 < 0 {
@@ -321,14 +375,15 @@ func (d *DCG) MakeTransition(v graph.VertexID, u graph.VertexID, v2 graph.Vertex
 			idx = 0
 		}
 		n := &d.nodes[s2]
-		l := append(n.in[u], inEdge{})
+		l := append(n.in, inEdge{})
 		copy(l[idx+1:], l[idx:])
-		l[idx] = inEdge{parent: v, state: target}
-		n.in[u] = l
-		n.inTotal++
+		l[idx] = inEdge{u: u, parent: v, state: target}
+		n.in = l
+		w, m := d.labelBit(s2, u)
+		d.inBits[w] |= m
 		d.numEdges++
 	default: // Implicit <-> Explicit: in place
-		d.nodes[s2].in[u][idx].state = target
+		d.nodes[s2].in[idx].state = target
 	}
 
 	// Entering Explicit: insert v2 into the parent's explicit-children
@@ -340,12 +395,13 @@ func (d *DCG) MakeTransition(v graph.VertexID, u graph.VertexID, v2 graph.Vertex
 		if v != graph.NoVertex {
 			ps := d.ensureSlot(v)
 			pn := &d.nodes[ps]
-			list := append(pn.out[u], graph.NoVertex)
-			op, _ := searchOut(list[:len(list)-1], v2)
-			copy(list[op+1:], list[op:])
-			list[op] = v2
-			pn.out[u] = list
-			pn.outTotal++
+			op := lowerOut(pn.out, key(u, v2))
+			l := append(pn.out, Child{})
+			copy(l[op+1:], l[op:])
+			l[op] = Child{QV: u, V: v2}
+			pn.out = l
+			w, m := d.labelBit(ps, u)
+			d.outBits[w] |= m
 		}
 	}
 
@@ -369,21 +425,9 @@ func (d *DCG) InDegree(v2 graph.VertexID, u graph.VertexID) int {
 	if s < 0 {
 		return 0
 	}
-	return len(d.nodes[s].in[u])
-}
-
-// ForEachInEdge calls fn for every stored incoming edge (parent, u, v2) in
-// ascending parent order (root edges from graph.NoVertex last). fn must
-// not mutate the DCG for edges labeled u of v2; engines that need to
-// mutate during iteration snapshot the parents first (see AppendInParents).
-func (d *DCG) ForEachInEdge(v2 graph.VertexID, u graph.VertexID, fn func(parent graph.VertexID, s State)) {
-	s := d.slot(v2)
-	if s < 0 {
-		return
-	}
-	for _, e := range d.nodes[s].in[u] {
-		fn(e.parent, e.state)
-	}
+	l := d.nodes[s].in
+	lo := lowerIn(l, key(u, 0))
+	return lowerIn(l[lo:], labelEnd(u))
 }
 
 // AppendInParents appends the parents of v2's stored incoming edges
@@ -400,20 +444,14 @@ func (d *DCG) AppendInParents(dst []graph.VertexID, v2 graph.VertexID, u graph.V
 	if s < 0 {
 		return dst
 	}
-	for _, e := range d.nodes[s].in[u] {
-		if explicitOnly && e.state != Explicit {
+	l := d.nodes[s].in
+	for i := lowerIn(l, key(u, 0)); i < len(l) && l[i].u == u; i++ {
+		if explicitOnly && l[i].state != Explicit {
 			continue
 		}
-		dst = append(dst, e.parent)
+		dst = append(dst, l[i].parent)
 	}
 	return dst
-}
-
-// InParents returns a freshly allocated snapshot of the parents of v2's
-// stored incoming edges labeled u, in ascending vertex order. Hot paths
-// use AppendInParents with a reused buffer instead.
-func (d *DCG) InParents(v2 graph.VertexID, u graph.VertexID, explicitOnly bool) []graph.VertexID {
-	return d.AppendInParents(nil, v2, u, explicitOnly)
 }
 
 // HasInLabel reports whether v has at least one stored incoming edge
@@ -421,23 +459,12 @@ func (d *DCG) InParents(v2 graph.VertexID, u graph.VertexID, explicitOnly bool) 
 //
 //tf:hotpath
 func (d *DCG) HasInLabel(v graph.VertexID, u graph.VertexID) bool {
-	return d.InDegree(v, u) > 0
-}
-
-// InLabels returns the set U of query vertices u such that v has at least
-// one stored incoming edge labeled u, in ascending label order.
-func (d *DCG) InLabels(v graph.VertexID) []graph.VertexID {
 	s := d.slot(v)
 	if s < 0 {
-		return nil
+		return false
 	}
-	var out []graph.VertexID
-	for u, l := range d.nodes[s].in {
-		if len(l) > 0 {
-			out = append(out, graph.VertexID(u))
-		}
-	}
-	return out
+	w, m := d.labelBit(s, u)
+	return d.inBits[w]&m != 0
 }
 
 // ExplicitOut returns the number of outgoing EXPLICIT edges of v labeled u.
@@ -448,12 +475,14 @@ func (d *DCG) ExplicitOut(v graph.VertexID, u graph.VertexID) int32 {
 	if s < 0 {
 		return 0
 	}
-	return int32(len(d.nodes[s].out[u]))
+	l := d.nodes[s].out
+	lo := lowerOut(l, key(u, 0))
+	return int32(lowerOut(l[lo:], labelEnd(u)))
 }
 
 // MatchAllChildren reports whether, for every child u' of u in the query
-// tree, v has an outgoing EXPLICIT edge labeled u' (Algorithm 4). O(1) per
-// child via the explicit-children array lengths.
+// tree, v has an outgoing EXPLICIT edge labeled u' (Algorithm 4): one
+// bitmap test per child.
 //
 //tf:hotpath
 func (d *DCG) MatchAllChildren(v graph.VertexID, u graph.VertexID) bool {
@@ -462,52 +491,38 @@ func (d *DCG) MatchAllChildren(v graph.VertexID, u graph.VertexID) bool {
 	if s < 0 {
 		return len(children) == 0
 	}
-	n := &d.nodes[s]
 	for _, c := range children {
-		if len(n.out[c]) == 0 {
+		if w, m := d.labelBit(s, c); d.outBits[w]&m == 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// ExplicitChildren enumerates the explicit out-neighbors of v labeled u:
-// the data vertices v' with GetState(v, u, v') == Explicit. This is the
-// candidate enumeration used by SubgraphSearch (Algorithm 7, Line 15).
-// Candidates come straight from the DCG's explicit-children arrays — never
-// by filtering data-graph neighbors — which keeps the search cost
-// proportional to the number of candidates, not the vertex degree.
+// ExplicitChildrenList returns the explicit out-neighbors of v labeled u —
+// the data vertices v' with GetState(v, u, v') == Explicit, in ascending
+// order — as a slice owned by the DCG: callers read Child.V, must not
+// mutate it and must not hold it across transitions. This is the
+// candidate enumeration of SubgraphSearch (Algorithm 7, Line 15):
+// candidates come straight from the DCG, never by filtering data-graph
+// neighbors, which keeps the search cost proportional to the number of
+// candidates, not the vertex degree.
 //
 //tf:hotpath
-func (d *DCG) ExplicitChildren(v graph.VertexID, u graph.VertexID, fn func(v2 graph.VertexID) bool) {
-	if u == d.tree.Root {
-		// Root candidates come from the artificial source; enumerate stored
-		// root edges instead (only valid when v == graph.NoVertex).
-		panic("dcg: ExplicitChildren must not be called for the root label")
-	}
-	s := d.slot(v)
-	if s < 0 {
-		return
-	}
-	for _, v2 := range d.nodes[s].out[u] {
-		if !fn(v2) {
-			return
-		}
-	}
-}
-
-// ExplicitChildrenList returns the explicit out-neighbors of v labeled u
-// as a slice owned by the DCG: callers must not mutate it and must not
-// hold it across transitions. Used by the worst-case-optimal search to
-// pick the smallest candidate list before intersecting.
-//
-//tf:hotpath
-func (d *DCG) ExplicitChildrenList(v graph.VertexID, u graph.VertexID) []graph.VertexID {
+func (d *DCG) ExplicitChildrenList(v graph.VertexID, u graph.VertexID) []Child {
 	s := d.slot(v)
 	if s < 0 {
 		return nil
 	}
-	return d.nodes[s].out[u]
+	// The caller walks the whole sub-range, so a linear scan for its end
+	// costs no more than a second binary search.
+	l := d.nodes[s].out
+	lo := lowerOut(l, key(u, 0))
+	hi := lo
+	for hi < len(l) && l[hi].QV == u {
+		hi++
+	}
+	return l[lo:hi]
 }
 
 // RootCandidates returns the data vertices v_s whose root edge
@@ -517,19 +532,18 @@ func (d *DCG) ExplicitChildrenList(v graph.VertexID, u graph.VertexID) []graph.V
 // emission.
 func (d *DCG) RootCandidates(explicitOnly bool) []graph.VertexID {
 	var out []graph.VertexID
-	us := d.tree.Root
+	rk := key(d.tree.Root, graph.NoVertex)
 	for s := range d.nodes {
 		v := d.vids[s]
 		if v == graph.NoVertex {
 			continue // recycled slot
 		}
-		l := d.nodes[s].in[us]
-		// Root edges come from graph.NoVertex, the maximum VertexID, so a
-		// stored root edge is always the last in-edge.
-		if len(l) == 0 || l[len(l)-1].parent != graph.NoVertex {
+		l := d.nodes[s].in
+		i := lowerIn(l, rk)
+		if i == len(l) || l[i].key() != rk {
 			continue
 		}
-		if !explicitOnly || l[len(l)-1].state == Explicit {
+		if !explicitOnly || l[i].state == Explicit {
 			out = append(out, v)
 		}
 	}
@@ -559,18 +573,18 @@ func (d *DCG) slotStats() (slots, free int) {
 	return len(d.nodes), len(d.free)
 }
 
-// Validate checks internal consistency: the sorted-in-edge invariant, the
-// explicit-children arrays with their outPos back-indexes, the interner
-// (slotOf/vids agreement, free-list hygiene), and the per-label and total
-// counters must all agree with the stored edges. It returns the first
-// inconsistency found. Tests and the failure-injection suite call this
-// after every update.
+// Validate checks internal consistency: both per-slot arrays strictly
+// sorted by (label, vertex), every explicit in-edge mirrored in its
+// parent's explicit children and vice versa, the label bitmaps, the
+// interner (slotOf/vids agreement, free-list hygiene), and the per-label
+// and total counters agreeing with the stored edges. It returns the first inconsistency
+// found. Tests and the failure-injection suite call this after every
+// update.
 //
 //tf:map-ok test-support invariant checker, never on the eval path
 func (d *DCG) Validate() error {
-	if len(d.vids) != len(d.nodes) || len(d.epoch) != len(d.nodes) {
-		return fmt.Errorf("dcg: interner arrays out of sync: %d nodes, %d vids, %d epochs",
-			len(d.nodes), len(d.vids), len(d.epoch))
+	if len(d.vids) != len(d.nodes) {
+		return fmt.Errorf("dcg: interner arrays out of sync: %d nodes, %d vids", len(d.nodes), len(d.vids))
 	}
 	onFree := make(map[int32]bool, len(d.free))
 	for _, s := range d.free {
@@ -593,22 +607,39 @@ func (d *DCG) Validate() error {
 			return fmt.Errorf("dcg: slotOf[%d]=%d but vids[%d]=%d", v, s, s, d.vids[s])
 		}
 	}
+	if len(d.inBits)*64 < len(d.nodes)*d.nq || len(d.outBits) != len(d.inBits) {
+		return fmt.Errorf("dcg: label bitmaps of %d/%d words too short for %d slots", len(d.inBits), len(d.outBits), len(d.nodes))
+	}
 	edges, explicit := 0, 0
 	explByLabel := make([]int64, d.nq)
+	hasIn, hasOut := make([]bool, d.nq), make([]bool, d.nq)
 	for s := range d.nodes {
 		n := &d.nodes[s]
 		v2 := d.vids[s]
+		clear(hasIn)
+		clear(hasOut)
+		for _, e := range n.in {
+			if int(e.u) < d.nq {
+				hasIn[e.u] = true
+			}
+		}
+		for _, c := range n.out {
+			if int(c.QV) < d.nq {
+				hasOut[c.QV] = true
+			}
+		}
+		for u := range d.nq {
+			w, m := d.labelBit(int32(s), graph.VertexID(u))
+			if (d.inBits[w]&m != 0) != hasIn[u] || (d.outBits[w]&m != 0) != hasOut[u] {
+				return fmt.Errorf("dcg: label bitmaps of slot %d disagree with its arrays at label %d", s, u)
+			}
+		}
 		if v2 == graph.NoVertex {
 			if !onFree[int32(s)] {
 				return fmt.Errorf("dcg: slot %d has no vertex but is not on the free list", s)
 			}
-			if n.inTotal != 0 || n.outTotal != 0 {
-				return fmt.Errorf("dcg: free slot %d has inTotal=%d outTotal=%d", s, n.inTotal, n.outTotal)
-			}
-			for u := 0; u < d.nq; u++ {
-				if len(n.in[u]) != 0 || len(n.out[u]) != 0 {
-					return fmt.Errorf("dcg: free slot %d stores edges under label %d", s, u)
-				}
+			if len(n.in) != 0 || len(n.out) != 0 {
+				return fmt.Errorf("dcg: free slot %d stores %d in-edges and %d children", s, len(n.in), len(n.out))
 			}
 			continue
 		}
@@ -618,56 +649,49 @@ func (d *DCG) Validate() error {
 		if int(v2) >= len(d.slotOf) || d.slotOf[v2] != int32(s) {
 			return fmt.Errorf("dcg: vids[%d]=%d but slotOf does not point back", s, v2)
 		}
-		inTotal, outTotal := int32(0), int32(0)
-		for u := 0; u < d.nq; u++ {
-			l := n.in[u]
-			inTotal += int32(len(l))
-			outTotal += int32(len(n.out[u]))
-			for i, e := range l {
-				if i > 0 && l[i-1].parent >= e.parent {
-					return fmt.Errorf("dcg: in-edges of (%d, u%d) not strictly sorted at %d", v2, u, i)
-				}
-				if e.state == Null {
-					return fmt.Errorf("dcg: stored NULL edge (%d,%d,%d)", e.parent, u, v2)
-				}
-				edges++
-				if e.state != Explicit {
-					continue
-				}
-				explicit++
-				explByLabel[u]++
-				if e.parent == graph.NoVertex {
-					continue
-				}
-				ps := d.slot(e.parent)
-				if ps < 0 {
-					return fmt.Errorf("dcg: explicit edge (%d,%d,%d) but parent has no slot", e.parent, u, v2)
-				}
-				plist := d.nodes[ps].out[u]
-				if _, ok := searchOut(plist, v2); !ok {
-					return fmt.Errorf("dcg: explicit edge (%d,%d,%d) missing from parent's children", e.parent, u, v2)
-				}
-			}
-			for i, c := range n.out[u] {
-				if i > 0 && n.out[u][i-1] >= c {
-					return fmt.Errorf("dcg: explicit children of (%d, u%d) not strictly sorted at %d", v2, u, i)
-				}
-				cs := d.slot(c)
-				if cs < 0 {
-					return fmt.Errorf("dcg: explicit child (%d,%d,%d) has no slot", v2, u, c)
-				}
-				cl := d.nodes[cs].in[u]
-				j, ok := searchIn(cl, v2)
-				if !ok || cl[j].state != Explicit {
-					return fmt.Errorf("dcg: out-adjacency (%d,%d,%d) not explicit", v2, u, c)
-				}
-			}
-		}
-		if inTotal != n.inTotal || outTotal != n.outTotal {
-			return fmt.Errorf("dcg: slot %d totals in=%d/%d out=%d/%d", s, n.inTotal, inTotal, n.outTotal, outTotal)
-		}
-		if inTotal == 0 && outTotal == 0 {
+		if len(n.in) == 0 && len(n.out) == 0 {
 			return fmt.Errorf("dcg: empty slot %d (vertex %d) was not recycled", s, v2)
+		}
+		for i, e := range n.in {
+			if int(e.u) >= d.nq {
+				return fmt.Errorf("dcg: in-edge (%d,%d,%d) has an unknown label", e.parent, e.u, v2)
+			}
+			if i > 0 && n.in[i-1].key() >= e.key() {
+				return fmt.Errorf("dcg: in-edges of %d not strictly sorted at %d", v2, i)
+			}
+			if e.state == Null {
+				return fmt.Errorf("dcg: stored NULL edge (%d,%d,%d)", e.parent, e.u, v2)
+			}
+			edges++
+			if e.state != Explicit {
+				continue
+			}
+			explicit++
+			explByLabel[e.u]++
+			if e.parent == graph.NoVertex {
+				continue
+			}
+			ps := d.slot(e.parent)
+			if ps < 0 {
+				return fmt.Errorf("dcg: explicit edge (%d,%d,%d) but parent has no slot", e.parent, e.u, v2)
+			}
+			pl, k := d.nodes[ps].out, key(e.u, v2)
+			if i := lowerOut(pl, k); i == len(pl) || pl[i].key() != k {
+				return fmt.Errorf("dcg: explicit edge (%d,%d,%d) missing from parent's children", e.parent, e.u, v2)
+			}
+		}
+		for i, c := range n.out {
+			if i > 0 && n.out[i-1].key() >= c.key() {
+				return fmt.Errorf("dcg: explicit children of %d not strictly sorted at %d", v2, i)
+			}
+			cs := d.slot(c.V)
+			if cs < 0 {
+				return fmt.Errorf("dcg: explicit child (%d,%d,%d) has no slot", v2, c.QV, c.V)
+			}
+			cl, k := d.nodes[cs].in, key(c.QV, v2)
+			if j := lowerIn(cl, k); j == len(cl) || cl[j].key() != k || cl[j].state != Explicit {
+				return fmt.Errorf("dcg: out-adjacency (%d,%d,%d) not explicit", v2, c.QV, c.V)
+			}
 		}
 	}
 	if edges != d.numEdges {
@@ -702,13 +726,11 @@ func (d *DCG) Snapshot() []SnapEdge {
 		if v2 == graph.NoVertex {
 			continue // recycled slot
 		}
-		for u, l := range d.nodes[s].in {
-			for _, e := range l {
-				out = append(out, SnapEdge{
-					Key:   EdgeKey{From: e.parent, QV: graph.VertexID(u), To: v2},
-					State: e.state,
-				})
-			}
+		for _, e := range d.nodes[s].in {
+			out = append(out, SnapEdge{
+				Key:   EdgeKey{From: e.parent, QV: e.u, To: v2},
+				State: e.state,
+			})
 		}
 	}
 	slices.SortFunc(out, func(a, b SnapEdge) int {

@@ -185,25 +185,29 @@ func TestInLabelsAndParents(t *testing.T) {
 	d := New(tr)
 	d.MakeTransition(0, 1, 2, Implicit)
 	d.MakeTransition(5, 1, 2, Explicit) // hypothetical second parent
-	ls := d.InLabels(2)
-	if len(ls) != 1 || ls[0] != 1 {
-		t.Fatalf("InLabels = %v", ls)
-	}
-	if !d.HasInLabel(2, 1) || d.HasInLabel(2, 2) {
+	d.MakeTransition(2, 2, 4, Implicit) // v4's in-edge must not leak into v2's
+	if !d.HasInLabel(2, 1) || d.HasInLabel(2, 2) || d.HasInLabel(2, 0) {
 		t.Fatal("HasInLabel wrong")
 	}
-	all := d.InParents(2, 1, false)
-	if len(all) != 2 {
-		t.Fatalf("InParents all = %v", all)
+	if d.InDegree(2, 1) != 2 || d.InDegree(2, 2) != 0 {
+		t.Fatalf("InDegree(2, u1) = %d, InDegree(2, u2) = %d", d.InDegree(2, 1), d.InDegree(2, 2))
 	}
-	expl := d.InParents(2, 1, true)
+	all := d.AppendInParents(nil, 2, 1, false)
+	if len(all) != 2 || all[0] != 0 || all[1] != 5 {
+		t.Fatalf("AppendInParents all = %v, want [0 5]", all)
+	}
+	expl := d.AppendInParents(all[:0], 2, 1, true)
 	if len(expl) != 1 || expl[0] != 5 {
-		t.Fatalf("InParents explicit = %v", expl)
+		t.Fatalf("AppendInParents explicit = %v, want [5]", expl)
 	}
-	n := 0
-	d.ForEachInEdge(2, 1, func(p graph.VertexID, s State) { n++ })
-	if n != 2 {
-		t.Fatalf("ForEachInEdge visited %d, want 2", n)
+	var labels []graph.VertexID
+	for _, e := range d.Snapshot() {
+		if e.Key.To == 2 {
+			labels = append(labels, e.Key.QV)
+		}
+	}
+	if len(labels) != 2 || labels[0] != 1 || labels[1] != 1 {
+		t.Fatalf("in-edge labels of v2 = %v, want [1 1]", labels)
 	}
 }
 
@@ -211,34 +215,30 @@ func TestExplicitChildrenEnumeration(t *testing.T) {
 	g := paperData(t)
 	tr := paperTree(t, g)
 	d := New(tr)
-	d.MakeTransition(2, 2, 4, Explicit)
-	d.MakeTransition(2, 2, 5, Implicit)
-	var got []graph.VertexID
-	d.ExplicitChildren(2, 2, func(v graph.VertexID) bool {
-		got = append(got, v)
-		return true
-	})
-	if len(got) != 1 || got[0] != 4 {
-		t.Fatalf("ExplicitChildren = %v, want [4]", got)
-	}
-	// Early stop.
 	d.MakeTransition(2, 2, 5, Explicit)
-	n := 0
-	d.ExplicitChildren(2, 2, func(graph.VertexID) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("early-stop enumeration visited %d, want 1", n)
+	d.MakeTransition(2, 2, 104, Implicit)
+	d.MakeTransition(2, 2, 4, Explicit)
+	d.MakeTransition(2, 3, 104, Explicit) // another label, same parent
+	got := d.ExplicitChildrenList(2, 2)
+	if len(got) != 2 || got[0] != (Child{QV: 2, V: 4}) || got[1] != (Child{QV: 2, V: 5}) {
+		t.Fatalf("ExplicitChildrenList(2, u2) = %v, want u2 children [4 5]", got)
 	}
-	// No explicit out: must not even scan.
-	d.ExplicitChildren(0, 2, func(graph.VertexID) bool {
-		t.Fatal("vertex without explicit out must enumerate nothing")
-		return true
-	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ExplicitChildren on root label must panic")
-		}
-	}()
-	d.ExplicitChildren(0, tr.Root, func(graph.VertexID) bool { return true })
+	if got := d.ExplicitChildrenList(2, 3); len(got) != 1 || got[0].V != 104 {
+		t.Fatalf("ExplicitChildrenList(2, u3) = %v, want [104]", got)
+	}
+	if d.ExplicitOut(2, 2) != 2 || d.ExplicitOut(2, 3) != 1 || d.ExplicitOut(2, 4) != 0 {
+		t.Fatal("ExplicitOut disagrees with the children sub-ranges")
+	}
+	// No explicit out: nothing to enumerate, including the root label.
+	if got := d.ExplicitChildrenList(0, 2); len(got) != 0 {
+		t.Fatalf("vertex without explicit out enumerates %v", got)
+	}
+	if got := d.ExplicitChildrenList(2, tr.Root); len(got) != 0 {
+		t.Fatalf("root label enumerates %v", got)
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSizeAccounting(t *testing.T) {
