@@ -63,8 +63,8 @@ func appendBench(dir string, ups []stream.Update, pol durable.Policy) (nsPerOp f
 		return 0, 0, err
 	}
 	start := time.Now()
-	for _, u := range ups {
-		if _, err := s.Append(u); err != nil {
+	for i, u := range ups {
+		if _, _, err := s.AppendBatch(ups[i : i+1]); err != nil {
 			s.Close() //tf:unchecked-ok already failing
 			return 0, 0, err
 		}

@@ -9,10 +9,13 @@
 //	turboflux -graph g0.txt -query q.txt -stream updates.txt [-iso] [-quiet]
 //	turboflux -data-dir state/ -query q.txt -stream updates.txt [-fsync always|interval|none]
 //
-// With -data-dir the engine runs in durable mode: every update is
-// journaled to a checksummed write-ahead log before evaluation, and on
-// restart the directory is recovered (newest snapshot + log tail) instead
-// of reloading -graph. The -graph file seeds a fresh directory only.
+// The query is registered as the single query of a MultiEngine, the
+// engine the network server runs. With -data-dir it is a
+// DurableMultiEngine instead: every update is journaled to a checksummed
+// write-ahead log before evaluation, and on restart the directory is
+// recovered (newest snapshot + log tail) instead of reloading -graph. The
+// -graph file seeds a fresh directory only. Both modes print the same
+// match transcript and totals for the same inputs.
 //
 // File formats (see internal/stream): the graph and stream files hold one
 // record per line — "v <id> [<label>,...]" declares a vertex, "i <from>
@@ -25,6 +28,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -36,38 +40,53 @@ import (
 	"turboflux/internal/stream"
 )
 
+// config holds the command-line settings of one run.
+type config struct {
+	graph, query, pattern, stream string
+	dataDir, fsync                string
+	iso, quiet, initial, explain  bool
+}
+
 func main() {
-	graphPath := flag.String("graph", "", "initial graph file (required)")
-	queryPath := flag.String("query", "", "query file (this or -pattern required)")
-	pattern := flag.String("pattern", "", "Cypher-like pattern, e.g. '(a:1)-[:0]->(b)' (labels are numeric names)")
-	streamPath := flag.String("stream", "", "update stream file (required)")
-	iso := flag.Bool("iso", false, "use subgraph isomorphism semantics")
-	quiet := flag.Bool("quiet", false, "suppress per-match output, print totals only")
-	initial := flag.Bool("initial", false, "also report matches of the initial graph")
-	explain := flag.Bool("explain", false, "print the execution plan before streaming")
-	dataDir := flag.String("data-dir", "", "durable mode: journal updates and recover state from this directory")
-	fsync := flag.String("fsync", "interval", "durable-mode fsync policy: always, interval or none")
+	var c config
+	flag.StringVar(&c.graph, "graph", "", "initial graph file (required)")
+	flag.StringVar(&c.query, "query", "", "query file (this or -pattern required)")
+	flag.StringVar(&c.pattern, "pattern", "", "Cypher-like pattern, e.g. '(a:1)-[:0]->(b)' (labels are numeric names)")
+	flag.StringVar(&c.stream, "stream", "", "update stream file (required)")
+	flag.BoolVar(&c.iso, "iso", false, "use subgraph isomorphism semantics")
+	flag.BoolVar(&c.quiet, "quiet", false, "suppress per-match output, print totals only")
+	flag.BoolVar(&c.initial, "initial", false, "also report matches of the initial graph")
+	flag.BoolVar(&c.explain, "explain", false, "print the execution plan before streaming")
+	flag.StringVar(&c.dataDir, "data-dir", "", "durable mode: journal updates and recover state from this directory")
+	flag.StringVar(&c.fsync, "fsync", "interval", "durable-mode fsync policy: always, interval or none")
 	flag.Parse()
-	if (*graphPath == "" && *dataDir == "") || (*queryPath == "" && *pattern == "") || *streamPath == "" {
+	if (c.graph == "" && c.dataDir == "") || (c.query == "" && c.pattern == "") || c.stream == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*graphPath, *queryPath, *pattern, *streamPath, *dataDir, *fsync, *iso, *quiet, *initial, *explain); err != nil {
+	if err := run(os.Stdout, c); err != nil {
 		fmt.Fprintln(os.Stderr, "turboflux:", err)
 		os.Exit(1)
 	}
 }
 
-// streamEngine is the part of the engine surface the streaming loop needs;
-// *turboflux.Engine and *turboflux.DurableEngine both provide it.
+// queryName is the name the CLI registers its single query under.
+const queryName = "q"
+
+// streamEngine is the engine surface the streaming loop needs;
+// *turboflux.MultiEngine and *turboflux.DurableMultiEngine both provide
+// it.
 type streamEngine interface {
-	InitialMatches() int64
-	ApplyBatch([]turboflux.Update) (int64, error)
-	Explain() string
-	Stats() turboflux.Stats
+	Register(name string, q *turboflux.Query, opt turboflux.Options) error
+	InitialMatches() map[string]int64
+	ApplyBatch([]turboflux.Update) (map[string]int64, error)
+	Explain(name string) string
+	Stats() map[string]turboflux.Stats
 }
 
-func run(graphPath, queryPath, pattern, streamPath, dataDir, fsync string, iso, quiet, initial, explain bool) error {
+// run replays the stream of c against its query, writing the match
+// transcript and totals to out.
+func run(out io.Writer, c config) error {
 	// Catch SIGINT/SIGTERM for the whole run, so a durable store opened
 	// later is always closed through the deferred Compact+Close and the
 	// WAL ends at a record boundary.
@@ -91,38 +110,38 @@ func run(graphPath, queryPath, pattern, streamPath, dataDir, fsync string, iso, 
 
 	var q *turboflux.Query
 	var err error
-	if pattern != "" {
+	if c.pattern != "" {
 		// Pattern label names must be the numeric labels used in the data
 		// files; numericDict interns "12" as Label(12).
-		q, _, err = turboflux.ParseQuery(pattern, numericDict(), numericDict())
+		q, _, err = turboflux.ParseQuery(c.pattern, numericDict(), numericDict())
 		if err != nil {
 			return fmt.Errorf("parsing pattern: %w", err)
 		}
 	} else {
-		q, err = loadQuery(queryPath)
+		q, err = loadQuery(c.query)
 		if err != nil {
 			return fmt.Errorf("loading query: %w", err)
 		}
 	}
-	ups, err := loadUpdates(streamPath)
+	ups, err := loadUpdates(c.stream)
 	if err != nil {
 		return fmt.Errorf("loading stream: %w", err)
 	}
 
 	opt := turboflux.Options{}
-	if iso {
+	if c.iso {
 		opt.Semantics = turboflux.Isomorphism
 	}
-	if !quiet {
-		opt.OnMatch = printMatch
+	if !c.quiet {
+		opt.OnMatch = matchPrinter(out)
 	}
 	if interrupted.Load() {
 		return fmt.Errorf("interrupted before the engine was opened")
 	}
 
 	var eng streamEngine
-	if dataDir != "" {
-		deng, err := openDurable(dataDir, graphPath, q, fsync, opt)
+	if c.dataDir != "" {
+		deng, err := openDurable(out, c)
 		if err != nil {
 			return err
 		}
@@ -136,30 +155,30 @@ func run(graphPath, queryPath, pattern, streamPath, dataDir, fsync string, iso, 
 		}()
 		eng = deng
 	} else {
-		g0, err := loadGraph(graphPath)
+		g0, err := loadGraph(c.graph)
 		if err != nil {
 			return fmt.Errorf("loading graph: %w", err)
 		}
-		meng, err := turboflux.NewEngine(g0, q, opt)
-		if err != nil {
-			return err
-		}
+		meng := turboflux.NewMultiEngine(g0)
+		defer meng.Close() //tf:unchecked-ok pool release never fails
 		eng = meng
 	}
-
-	if explain {
-		fmt.Println(eng.Explain())
+	if err := eng.Register(queryName, q, opt); err != nil {
+		return err
 	}
-	if initial {
-		n := eng.InitialMatches()
-		fmt.Printf("# initial matches: %d\n", n)
+
+	if c.explain {
+		fmt.Fprintln(out, eng.Explain(queryName))
+	}
+	if c.initial {
+		fmt.Fprintf(out, "# initial matches: %d\n", eng.InitialMatches()[queryName])
 	}
 	applied, err := applyInterruptible(eng, ups, &interrupted)
 	if err != nil {
 		return err
 	}
-	st := eng.Stats()
-	fmt.Printf("# stream: %d updates, %d positive, %d negative, DCG %d edges\n",
+	st := eng.Stats()[queryName]
+	fmt.Fprintf(out, "# stream: %d updates, %d positive, %d negative, DCG %d edges\n",
 		applied, st.PositiveMatches, st.NegativeMatches, st.DCGEdges)
 	return nil
 }
@@ -184,45 +203,50 @@ func applyInterruptible(eng streamEngine, ups []turboflux.Update, interrupted *a
 	return applied, nil
 }
 
-// openDurable opens the durable engine, seeding a fresh directory from
-// the -graph file (when given) and reporting what recovery found.
-func openDurable(dataDir, graphPath string, q *turboflux.Query, fsync string, opt turboflux.Options) (*turboflux.DurableEngine, error) {
-	dopt := turboflux.DurableOptions{Options: opt, Fsync: fsync}
-	if graphPath != "" {
-		boot, err := loadGraphUpdates(graphPath)
+// openDurable opens the durable engine in c.dataDir, seeding a fresh
+// directory from the -graph file (when given) and reporting what
+// recovery found.
+func openDurable(out io.Writer, c config) (*turboflux.DurableMultiEngine, error) {
+	dopt := turboflux.DurableMultiOptions{Fsync: c.fsync}
+	if c.graph != "" {
+		boot, err := loadGraphUpdates(c.graph)
 		if err != nil {
 			return nil, fmt.Errorf("loading graph: %w", err)
 		}
 		dopt.Bootstrap = boot
 	}
-	deng, err := turboflux.OpenDurable(dataDir, q, dopt)
+	deng, err := turboflux.OpenDurableMulti(c.dataDir, dopt)
 	if err != nil {
 		return nil, err
 	}
 	rec := deng.Recovery()
 	switch {
 	case rec.Fresh:
-		fmt.Printf("# durable: fresh store in %s (fsync=%s)\n", dataDir, fsync)
+		fmt.Fprintf(out, "# durable: fresh store in %s (fsync=%s)\n", c.dataDir, c.fsync)
 	default:
-		fmt.Printf("# durable: recovered snapshot@%d + %d replayed updates (%d torn bytes dropped)\n",
+		fmt.Fprintf(out, "# durable: recovered snapshot@%d + %d replayed updates (%d torn bytes dropped)\n",
 			rec.SnapshotLSN, rec.Replayed, rec.TruncatedBytes)
 	}
 	return deng, nil
 }
 
-func printMatch(positive bool, m []turboflux.VertexID) {
-	sign := byte('+')
-	if !positive {
-		sign = '-'
-	}
-	fmt.Printf("%c ", sign)
-	for u, v := range m {
-		if u > 0 {
-			fmt.Print(" ")
+// matchPrinter returns an OnMatch callback writing one line per match to
+// out: the sign, then each query vertex's data vertex.
+func matchPrinter(out io.Writer) func(bool, []turboflux.VertexID) {
+	return func(positive bool, m []turboflux.VertexID) {
+		sign := byte('+')
+		if !positive {
+			sign = '-'
 		}
-		fmt.Printf("u%d=%d", u, v)
+		fmt.Fprintf(out, "%c ", sign)
+		for u, v := range m {
+			if u > 0 {
+				fmt.Fprint(out, " ")
+			}
+			fmt.Fprintf(out, "u%d=%d", u, v)
+		}
+		fmt.Fprintln(out)
 	}
-	fmt.Println()
 }
 
 // loadGraph reads a graph file in either the text stream format or the

@@ -7,12 +7,12 @@ import (
 	"turboflux/internal/durable"
 )
 
-// DurableMultiOptions configures OpenDurableMulti. The fields mirror
-// DurableOptions minus the per-engine matching options: queries are
+// DurableMultiOptions configures OpenDurableMulti. Queries are
 // registered dynamically with Register, each with its own Options.
 type DurableMultiOptions struct {
-	// Fsync is the WAL sync policy: "always", "interval" (default) or
-	// "none"; see DurableOptions.
+	// Fsync is the WAL sync policy: "always" (sync per update),
+	// "interval" (default: sync at most once per FsyncInterval) or
+	// "none" (sync only on Sync/Close).
 	Fsync string
 	// FsyncInterval is the "interval" policy period (default 100ms).
 	FsyncInterval time.Duration
@@ -21,12 +21,16 @@ type DurableMultiOptions struct {
 	SegmentSize int64
 
 	// VertexLabels / EdgeLabels, when non-nil, become the store's label
-	// dictionaries, with recovered names merged in exactly as for
-	// OpenDurable.
+	// dictionaries. On a fresh store they are adopted as-is; on recovery
+	// the snapshot's names are re-interned into them first and must agree
+	// with any labels already interned (so patterns parsed through them
+	// keep meaning the same labels across restarts).
 	VertexLabels, EdgeLabels *Dict
 
-	// Bootstrap is an optional initial-graph history, journaled and
-	// applied only when the store is fresh.
+	// Bootstrap is an optional initial-graph history (vertex declarations
+	// and edge insertions). It is journaled and applied only when the
+	// store is fresh; on recovery it is ignored, because the store already
+	// contains it.
 	Bootstrap []Update
 
 	// FanOutWorkers sizes the multi-query fan-out worker pool (default
@@ -35,6 +39,14 @@ type DurableMultiOptions struct {
 	// MultiEngine.SetFanOutWorkers.
 	FanOutWorkers int
 }
+
+// RecoveryInfo describes what OpenDurableMulti found on disk:
+// SnapshotLSN is the log position covered by the snapshot recovery
+// started from (0 when none existed), Replayed the number of journaled
+// updates re-applied on top, TruncatedBytes the size of the torn or
+// corrupt log tail discarded on open, and Fresh reports that the
+// directory held no prior state.
+type RecoveryInfo = durable.RecoveryInfo
 
 // DurableMultiEngine is a MultiEngine whose update stream survives process
 // crashes: every Apply/Insert/Delete is journaled to the write-ahead log
@@ -55,6 +67,10 @@ type DurableMultiEngine struct {
 	store *durable.Store
 	m     *MultiEngine
 	rec   RecoveryInfo
+
+	// one is the persistent batch of one that Insert, Delete and Apply
+	// journal and evaluate, so a single update allocates nothing.
+	one [1]Update
 }
 
 // OpenDurableMulti opens (or creates) the durable store in dir, recovers
@@ -68,6 +84,80 @@ func OpenDurableMulti(dir string, opt DurableMultiOptions) (*DurableMultiEngine,
 	m := NewMultiEngine(st.Graph())
 	m.SetFanOutWorkers(opt.FanOutWorkers)
 	return &DurableMultiEngine{store: st, m: m, rec: rec}, nil
+}
+
+// bootstrapChunk is how many Bootstrap records a fresh store journals per
+// write: one write — and, under the "always" policy, one fsync — per
+// chunk instead of per record. Every record keeps its own checksummed
+// frame, so a crash mid-bootstrap still recovers a prefix.
+const bootstrapChunk = 1024
+
+// openStore opens (or creates) the store in dir with opt's journal
+// settings, adopts the label dictionaries, and on a fresh store journals
+// and applies opt.Bootstrap.
+func openStore(dir string, opt DurableMultiOptions) (*durable.Store, RecoveryInfo, error) {
+	pol, err := durable.ParsePolicy(opt.Fsync)
+	if err != nil {
+		return nil, RecoveryInfo{}, err
+	}
+	st, err := durable.Open(dir, durable.Options{
+		Fsync:        pol,
+		FsyncEvery:   opt.FsyncInterval,
+		SegmentSize:  opt.SegmentSize,
+		VertexLabels: opt.VertexLabels,
+		EdgeLabels:   opt.EdgeLabels,
+	})
+	if err != nil {
+		return nil, RecoveryInfo{}, err
+	}
+	fail := func(err error) (*durable.Store, RecoveryInfo, error) {
+		st.Close() //tf:unchecked-ok already failing
+		return nil, RecoveryInfo{}, err
+	}
+	vd, err := adoptDict(opt.VertexLabels, st.VertexLabels(), "vertex")
+	if err != nil {
+		return fail(err)
+	}
+	ed, err := adoptDict(opt.EdgeLabels, st.EdgeLabels(), "edge")
+	if err != nil {
+		return fail(err)
+	}
+	st.SetDicts(vd, ed)
+
+	rec := st.Recovery()
+	if rec.Fresh {
+		for boot := opt.Bootstrap; len(boot) > 0; {
+			n := min(len(boot), bootstrapChunk)
+			if _, _, err := st.AppendBatch(boot[:n]); err != nil {
+				return fail(err)
+			}
+			for _, u := range boot[:n] {
+				u.Apply(st.Graph())
+			}
+			boot = boot[n:]
+		}
+	}
+	return st, rec, nil
+}
+
+// adoptDict merges the recovered dictionary names into the caller's
+// dictionary (when one was supplied) and returns the dictionary the
+// engine should use. Re-interning the recovered names in order must
+// reproduce the recovered labels, otherwise the caller's labels and the
+// persisted graph disagree.
+func adoptDict(user, recovered *Dict, kind string) (*Dict, error) {
+	if user == nil || user == recovered {
+		return recovered, nil
+	}
+	for i := 0; i < recovered.Len(); i++ {
+		name := recovered.Name(Label(i))
+		if got := user.Intern(name); got != Label(i) {
+			return nil, fmt.Errorf(
+				"turboflux: %s label dictionary mismatch: recovered %q as label %d, caller has it as %d",
+				kind, name, i, got)
+		}
+	}
+	return user, nil
 }
 
 // Recovery returns what OpenDurableMulti found on disk.
@@ -93,27 +183,20 @@ func (d *DurableMultiEngine) InitialMatches() map[string]int64 { return d.m.Init
 // Insert journals an edge insertion and then fans it out to every
 // registered query, returning per-query positive-match counts.
 func (d *DurableMultiEngine) Insert(from VertexID, l Label, to VertexID) (map[string]int64, error) {
-	if _, err := d.store.Append(Insert(from, l, to)); err != nil {
-		return nil, err
-	}
-	return d.m.Insert(from, l, to)
+	return d.Apply(Insert(from, l, to))
 }
 
 // Delete journals an edge deletion and then fans it out, returning
 // per-query negative-match counts.
 func (d *DurableMultiEngine) Delete(from VertexID, l Label, to VertexID) (map[string]int64, error) {
-	if _, err := d.store.Append(Delete(from, l, to)); err != nil {
-		return nil, err
-	}
-	return d.m.Delete(from, l, to)
+	return d.Apply(Delete(from, l, to))
 }
 
-// Apply journals one stream update and then fans it out.
+// Apply journals one stream update and then fans it out, as a batch of
+// one.
 func (d *DurableMultiEngine) Apply(u Update) (map[string]int64, error) {
-	if _, err := d.store.Append(u); err != nil {
-		return nil, err
-	}
-	return d.m.Apply(u)
+	d.one[0] = u
+	return d.ApplyBatchFunc(d.one[:], nil)
 }
 
 // ApplyBatch journals the whole batch as one log write, then evaluates it
@@ -194,3 +277,7 @@ func (d *DurableMultiEngine) FanOutStats() FanOutStats { return d.m.FanOutStats(
 
 // MQOStats snapshots the sub-pattern sharing counters.
 func (d *DurableMultiEngine) MQOStats() MQOStats { return d.m.MQOStats() }
+
+// Explain renders the named query's execution plan; see
+// MultiEngine.Explain.
+func (d *DurableMultiEngine) Explain(name string) string { return d.m.Explain(name) }

@@ -71,23 +71,46 @@ func transcriptRecorder(b *strings.Builder) func(bool, []VertexID) {
 	}
 }
 
+// openDurableQuery opens the durable store in dir and registers q under
+// "q" with qopt: the one-query view of a DurableMultiEngine that the
+// tests below drive.
+func openDurableQuery(dir string, q *Query, qopt Options, opt DurableMultiOptions) (*DurableMultiEngine, error) {
+	d, err := OpenDurableMulti(dir, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.Register("q", q, qopt); err != nil {
+		d.Close() //tf:unchecked-ok already failing
+		return nil, err
+	}
+	return d, nil
+}
+
+// applyEach journals and evaluates ups one update at a time.
+func applyEach(d *DurableMultiEngine, ups []Update) error {
+	for _, u := range ups {
+		if _, err := d.Apply(u); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func TestOpenDurableFreshAndRecover(t *testing.T) {
 	dir := t.TempDir()
 	bootstrap, ups := durableTestStream(7, 60)
 	q := durableTestQuery(t)
 
 	var live strings.Builder
-	eng, err := OpenDurable(dir, q, DurableOptions{
-		Options:   Options{OnMatch: transcriptRecorder(&live)},
-		Bootstrap: bootstrap,
-	})
+	eng, err := openDurableQuery(dir, q, Options{OnMatch: transcriptRecorder(&live)},
+		DurableMultiOptions{Bootstrap: bootstrap})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !eng.Recovery().Fresh {
 		t.Fatal("first open of an empty dir must be Fresh")
 	}
-	if _, err := eng.ApplyAll(ups); err != nil {
+	if err := applyEach(eng, ups); err != nil {
 		t.Fatal(err)
 	}
 	wantLSN := uint64(len(bootstrap) + len(ups))
@@ -105,7 +128,7 @@ func TestOpenDurableFreshAndRecover(t *testing.T) {
 	// engine over the same graph (recovery recomputes the plan from
 	// current statistics, so that — not the lived-through engine's DCG,
 	// whose plan was frozen at build time — is the reference).
-	eng2, err := OpenDurable(dir, durableTestQuery(t), DurableOptions{})
+	eng2, err := openDurableQuery(dir, durableTestQuery(t), Options{}, DurableMultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +137,7 @@ func TestOpenDurableFreshAndRecover(t *testing.T) {
 	if rec.Fresh || rec.Replayed != int(wantLSN) {
 		t.Fatalf("recovery = %+v, want %d replayed", rec, wantLSN)
 	}
-	if got, want := eng2.Stats().DCGEdges, referenceDCGEdges(t, bootstrap, ups); got != want {
+	if got, want := eng2.Stats()["q"].DCGEdges, referenceDCGEdges(t, bootstrap, ups); got != want {
 		t.Fatalf("recovered DCG has %d edges, fresh engine over same graph has %d", got, want)
 	}
 }
@@ -139,24 +162,24 @@ func referenceDCGEdges(t *testing.T, histories ...[]Update) int {
 func TestOpenDurableCompactCycle(t *testing.T) {
 	dir := t.TempDir()
 	bootstrap, ups := durableTestStream(11, 80)
-	eng, err := OpenDurable(dir, durableTestQuery(t), DurableOptions{Bootstrap: bootstrap})
+	eng, err := openDurableQuery(dir, durableTestQuery(t), Options{}, DurableMultiOptions{Bootstrap: bootstrap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.ApplyAll(ups[:40]); err != nil {
+	if err := applyEach(eng, ups[:40]); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.ApplyAll(ups[40:]); err != nil {
+	if err := applyEach(eng, ups[40:]); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	eng2, err := OpenDurable(dir, durableTestQuery(t), DurableOptions{})
+	eng2, err := openDurableQuery(dir, durableTestQuery(t), Options{}, DurableMultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +188,7 @@ func TestOpenDurableCompactCycle(t *testing.T) {
 	if rec.SnapshotLSN != uint64(len(bootstrap)+40) || rec.Replayed != 40 {
 		t.Fatalf("recovery = %+v, want snapshot at %d + 40 replayed", rec, len(bootstrap)+40)
 	}
-	if got, want := eng2.Stats().DCGEdges, referenceDCGEdges(t, bootstrap, ups); got != want {
+	if got, want := eng2.Stats()["q"].DCGEdges, referenceDCGEdges(t, bootstrap, ups); got != want {
 		t.Fatalf("recovered DCG has %d edges, fresh engine over same graph has %d", got, want)
 	}
 }
@@ -175,7 +198,7 @@ func TestOpenDurableDictAdoption(t *testing.T) {
 	vd, ed := NewDict(), NewDict()
 	a := vd.Intern("A")
 	follows := ed.Intern("follows")
-	eng, err := OpenDurable(dir, durableTestQuery(t), DurableOptions{
+	eng, err := openDurableQuery(dir, durableTestQuery(t), Options{}, DurableMultiOptions{
 		VertexLabels: vd, EdgeLabels: ed,
 		Bootstrap: []Update{DeclareVertex(1, a), DeclareVertex(2, a)},
 	})
@@ -195,7 +218,7 @@ func TestOpenDurableDictAdoption(t *testing.T) {
 	// Reopen with fresh (empty) dicts: recovered names are re-interned
 	// into them with identical labels.
 	vd2, ed2 := NewDict(), NewDict()
-	eng2, err := OpenDurable(dir, durableTestQuery(t), DurableOptions{VertexLabels: vd2, EdgeLabels: ed2})
+	eng2, err := openDurableQuery(dir, durableTestQuery(t), Options{}, DurableMultiOptions{VertexLabels: vd2, EdgeLabels: ed2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +236,8 @@ func TestOpenDurableDictAdoption(t *testing.T) {
 	// remapped.
 	bad := NewDict()
 	bad.Intern("not-A")
-	if _, err := OpenDurable(dir, durableTestQuery(t), DurableOptions{VertexLabels: bad}); err == nil {
-		t.Fatal("conflicting dictionary should fail OpenDurable")
+	if _, err := OpenDurableMulti(dir, DurableMultiOptions{VertexLabels: bad}); err == nil {
+		t.Fatal("conflicting dictionary should fail OpenDurableMulti")
 	}
 }
 
@@ -230,11 +253,11 @@ func TestDurableTranscriptEquivalence(t *testing.T) {
 
 	// Journal bootstrap + phase1, then crash (abandon without Close).
 	dir := t.TempDir()
-	eng, err := OpenDurable(dir, q(), DurableOptions{Fsync: "none", Bootstrap: bootstrap})
+	eng, err := openDurableQuery(dir, q(), Options{}, DurableMultiOptions{Fsync: "none", Bootstrap: bootstrap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.ApplyAll(phase1); err != nil {
+	if err := applyEach(eng, phase1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -262,11 +285,11 @@ func TestDurableTranscriptEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ref.ApplyAll(phase1[:prefixN]); err != nil {
+		if _, err := ref.ApplyBatch(phase1[:prefixN]); err != nil {
 			t.Fatal(err)
 		}
 		b.Reset()
-		if _, err := ref.ApplyAll(phase2); err != nil {
+		if _, err := ref.ApplyBatch(phase2); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
@@ -286,10 +309,8 @@ func TestDurableTranscriptEquivalence(t *testing.T) {
 		}
 
 		var b strings.Builder
-		rec, err := OpenDurable(crash, q(), DurableOptions{
-			Options: Options{OnMatch: transcriptRecorder(&b)},
-			Fsync:   "none",
-		})
+		rec, err := openDurableQuery(crash, q(), Options{OnMatch: transcriptRecorder(&b)},
+			DurableMultiOptions{Fsync: "none"})
 		if err != nil {
 			t.Fatalf("cut %d: recovery failed: %v", cut, err)
 		}
@@ -297,7 +318,7 @@ func TestDurableTranscriptEquivalence(t *testing.T) {
 		if prefixN < 0 || prefixN > len(phase1) {
 			t.Fatalf("cut %d: surviving prefix %d out of range", cut, prefixN)
 		}
-		if _, err := rec.ApplyAll(phase2); err != nil {
+		if err := applyEach(rec, phase2); err != nil {
 			t.Fatalf("cut %d: phase2 on recovered engine: %v", cut, err)
 		}
 		got := b.String()
@@ -350,11 +371,11 @@ func TestDurableSnapshotRecoveryDeterminism(t *testing.T) {
 	// Journal bootstrap + phase1 and snapshot there; the store on disk now
 	// recovers to the post-phase1 state.
 	dir := t.TempDir()
-	eng, err := OpenDurable(dir, durableTestQuery(t), DurableOptions{Bootstrap: bootstrap})
+	eng, err := openDurableQuery(dir, durableTestQuery(t), Options{}, DurableMultiOptions{Bootstrap: bootstrap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.ApplyAll(phase1); err != nil {
+	if err := applyEach(eng, phase1); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Compact(); err != nil {
@@ -375,11 +396,11 @@ func TestDurableSnapshotRecoveryDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.ApplyAll(phase1); err != nil {
+	if _, err := ref.ApplyBatch(phase1); err != nil {
 		t.Fatal(err)
 	}
 	refB.Reset()
-	if _, err := ref.ApplyAll(phase2); err != nil {
+	if _, err := ref.ApplyBatch(phase2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -389,16 +410,15 @@ func TestDurableSnapshotRecoveryDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		rec, err := OpenDurable(crash, durableTestQuery(t), DurableOptions{
-			Options: Options{OnMatch: transcriptRecorder(&b)},
-		})
+		rec, err := openDurableQuery(crash, durableTestQuery(t), Options{OnMatch: transcriptRecorder(&b)},
+			DurableMultiOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rec.Recovery().SnapshotLSN == 0 {
 			t.Fatal("expected snapshot-based recovery")
 		}
-		if _, err := rec.ApplyAll(phase2); err != nil {
+		if err := applyEach(rec, phase2); err != nil {
 			t.Fatal(err)
 		}
 		if err := rec.Close(); err != nil {

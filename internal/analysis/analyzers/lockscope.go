@@ -13,7 +13,6 @@ import (
 // whole matching pipeline.
 var rootEvalMethods = map[string]bool{
 	"Apply":          true,
-	"ApplyAll":       true,
 	"ApplyBatch":     true,
 	"ApplyBatchFunc": true,
 	"Insert":         true,

@@ -121,7 +121,7 @@ func TestCrashTruncationMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Append(ups[n-1]); err != nil {
+		if _, _, err := s.AppendBatch(ups[n-1 : n]); err != nil {
 			t.Fatal(err)
 		}
 		ups[n-1].Apply(s.Graph())

@@ -74,9 +74,9 @@ func sameGraph(t *testing.T, got, want *graph.Graph) {
 // engine wrapper does.
 func appendAll(t *testing.T, s *Store, ups []stream.Update) {
 	t.Helper()
-	for _, u := range ups {
-		if _, err := s.Append(u); err != nil {
-			t.Fatalf("Append(%s): %v", u, err)
+	for i, u := range ups {
+		if _, _, err := s.AppendBatch(ups[i : i+1]); err != nil {
+			t.Fatalf("AppendBatch(%s): %v", u, err)
 		}
 		u.Apply(s.Graph())
 	}
@@ -127,7 +127,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	sameGraph(t, s2.Graph(), graphFromPrefix(ups, 100))
 
 	// Appends continue with fresh LSNs.
-	lsn, err := s2.Append(stream.Insert(1, 1, 2))
+	lsn, _, err := s2.AppendBatch([]stream.Update{stream.Insert(1, 1, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,8 +349,8 @@ func TestStoreClosed(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Append(stream.Insert(1, 1, 2)); err == nil {
-		t.Error("Append on closed store should fail")
+	if _, _, err := s.AppendBatch([]stream.Update{stream.Insert(1, 1, 2)}); err == nil {
+		t.Error("AppendBatch on closed store should fail")
 	}
 	if err := s.Compact(); err == nil {
 		t.Error("Compact on closed store should fail")

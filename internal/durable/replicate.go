@@ -20,7 +20,7 @@ import (
 // Tap observes successful appends: it receives the LSN range just
 // journaled and the exact CRC-framed bytes written to the log. The store
 // calls it synchronously on the appending goroutine (the engine-owner
-// actor in the server), after the write succeeds and before Append
+// actor in the server), after the write succeeds and before AppendBatch
 // returns; frames is reused by the next append, so the tap must copy
 // anything it keeps.
 type Tap func(first, last uint64, frames []byte)
@@ -29,7 +29,7 @@ type Tap func(first, last uint64, frames []byte)
 func (s *Store) SetTap(t Tap) { s.tap = t }
 
 // AppendFrame appends the CRC-framed encoding of u to dst — the exact
-// bytes Append would journal, usable to synthesize replication traffic.
+// bytes AppendBatch would journal for it, usable to synthesize replication traffic.
 func AppendFrame(dst []byte, u stream.Update) ([]byte, error) {
 	return appendRecord(dst, u)
 }

@@ -30,7 +30,7 @@ func TestTapObservesAppends(t *testing.T) {
 	})
 
 	ups := testUpdates(10)
-	if _, err := s.Append(ups[0]); err != nil {
+	if _, _, err := s.AppendBatch(ups[:1]); err != nil {
 		t.Fatal(err)
 	}
 	ups[0].Apply(s.Graph())

@@ -214,24 +214,6 @@ func (s *Store) SetDicts(vdict, edict *graph.Dict) {
 // LSN returns the LSN of the last appended or recovered record.
 func (s *Store) LSN() uint64 { return s.lsn }
 
-// Append journals u and returns its LSN. It does not apply u to the
-// graph; the engine does that after journaling succeeds (write-ahead
-// order).
-func (s *Store) Append(u stream.Update) (uint64, error) {
-	if s.w == nil {
-		return 0, errClosed
-	}
-	lsn, err := s.w.Append(u)
-	if err != nil {
-		return 0, fmt.Errorf("durable: journaling %q: %w", u, err)
-	}
-	s.lsn = lsn
-	if s.tap != nil {
-		s.tap(lsn, lsn, s.w.buf)
-	}
-	return lsn, nil
-}
-
 // replayBatch applies one buffered batch of recovered updates through
 // the Applier: duplicate/existence probes fuse with the mutation and
 // edge-counter maintenance is deferred to the Applier's Flush. Update
@@ -251,9 +233,10 @@ func replayBatch(ap *graph.Applier, batch []stream.Update) {
 }
 
 // AppendBatch journals ups as one write and returns the LSN range
-// [first, last] it was assigned. Like Append it does not apply the
-// updates to the graph; the engine does that after journaling succeeds.
-// An empty batch is a no-op returning the current LSN twice.
+// [first, last] it was assigned; a single update is a batch of one. It
+// does not apply the updates to the graph; the engine does that after
+// journaling succeeds (write-ahead order). An empty batch is a no-op
+// returning the current LSN twice.
 //
 //tf:hotpath
 func (s *Store) AppendBatch(ups []stream.Update) (first, last uint64, err error) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"turboflux/internal/query"
 	"turboflux/internal/workload"
 )
 
@@ -51,7 +52,8 @@ func TestPaperShapes(t *testing.T) {
 	}
 
 	// Shape 4 (Figure 9): growing the initial graph hurts Graphflow far
-	// more than TurboFlux (stateless recompute vs maintained index).
+	// more than TurboFlux (stateless recompute vs maintained index). Each
+	// cell costs a few milliseconds, so each is the fastest of three runs.
 	small := ds
 	big := workload.LSBench(workload.LSBenchConfig{Users: 2400, StreamFraction: 0.1, Seed: 1})
 	rcBig := rc
@@ -59,15 +61,15 @@ func TestPaperShapes(t *testing.T) {
 		rcBig.Stream = big.Stream[:len(small.Stream)]
 	}
 	q := qs[0]
-	tfSmall := RunQuery(TurboFlux, small, q, rc)
-	gfSmall := RunQuery(Graphflow, small, q, rc)
+	tfSmall := fastestOf3(TurboFlux, small, q, rc)
+	gfSmall := fastestOf3(Graphflow, small, q, rc)
 	// Regenerate a comparable query for the big dataset (same seed recipe).
 	bigQs := selectQueries(big, big.TreeQueries(18, 6, 7), 1, rcBig)
 	if len(bigQs) == 0 {
 		t.Skip("no usable query at 4x scale")
 	}
-	tfBig := RunQuery(TurboFlux, big, bigQs[0], rcBig)
-	gfBig := RunQuery(Graphflow, big, bigQs[0], rcBig)
+	tfBig := fastestOf3(TurboFlux, big, bigQs[0], rcBig)
+	gfBig := fastestOf3(Graphflow, big, bigQs[0], rcBig)
 	if tfSmall.TimedOut || gfSmall.TimedOut || tfBig.TimedOut || gfBig.TimedOut {
 		t.Skip("censoring at this scale; skip growth-shape check")
 	}
@@ -88,4 +90,17 @@ func TestPaperShapes(t *testing.T) {
 		t.Errorf("IncIsoMat (%v) not ≥5x slower than TurboFlux (%v)",
 			imShort.Cost, tfShort.Cost)
 	}
+}
+
+// fastestOf3 runs q three times and returns the fastest run, so one
+// scheduler hiccup cannot decide a comparison of millisecond costs. A
+// timed-out run counts as the slowest.
+func fastestOf3(kind Kind, ds *workload.Dataset, q *query.Graph, rc RunConfig) Result {
+	best := RunQuery(kind, ds, q, rc)
+	for i := 1; i < 3; i++ {
+		if r := RunQuery(kind, ds, q, rc); best.TimedOut || (!r.TimedOut && r.Cost < best.Cost) {
+			best = r
+		}
+	}
+	return best
 }

@@ -127,7 +127,7 @@ func TestChunkSegments(t *testing.T) {
 	defer s.Close() //tf:unchecked-ok test teardown
 	for i := 1; i <= 100; i++ {
 		u := stream.Insert(graph.VertexID(i), 0, graph.VertexID(i+1))
-		if _, err := s.Append(u); err != nil {
+		if _, _, err := s.AppendBatch([]stream.Update{u}); err != nil {
 			t.Fatal(err)
 		}
 		u.Apply(s.Graph())

@@ -52,8 +52,8 @@ type followerHandle struct {
 var errFollowerReadOnly = fmt.Errorf("server: read-only follower; send writes to the leader")
 
 // shipFrames is the durable store's append tap: it runs on the actor
-// goroutine (inside Store.Append/AppendBatch, called from an apply
-// handler) and forwards the freshly journaled frames to every follower
+// goroutine (inside Store.AppendBatch, called from an apply handler)
+// and forwards the freshly journaled frames to every follower
 // feed. The frame bytes are copied once and shared read-only across
 // feeds. A follower whose feed is full is cut off (feed overrun) and
 // will reconnect and catch up — a slow replica never stalls ingest.

@@ -44,7 +44,7 @@ type Options struct {
 	// VertexLabels / EdgeLabels, when non-nil, seed the label
 	// dictionaries that REGISTER patterns and LABEL lookups resolve
 	// through. In durable mode they are merged with the recovered
-	// dictionaries exactly as for OpenDurable.
+	// dictionaries exactly as for OpenDurableMulti.
 	VertexLabels, EdgeLabels *turboflux.Dict
 
 	// Bootstrap is an optional initial-graph history applied (and, in

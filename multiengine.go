@@ -874,6 +874,17 @@ func (m *MultiEngine) Stats() map[string]Stats {
 	return out
 }
 
+// Explain renders the named query's execution plan — starting vertex,
+// query tree, non-tree edges, matching order and DCG occupancy — for
+// diagnostics, or "" when no query of that name is registered.
+func (m *MultiEngine) Explain(name string) string {
+	s, ok := m.slots[name]
+	if !ok {
+		return ""
+	}
+	return s.eng.Plan().String()
+}
+
 // TotalIntermediateBytes sums the maintained intermediate-result sizes,
 // counting each shared DCG once (at its first member) rather than once
 // per member — the memory actually held, and the denominator the mqo
